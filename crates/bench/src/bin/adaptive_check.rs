@@ -16,7 +16,9 @@
 //! with code 2 unless the adaptive run's campaign-wide detected set
 //! equals the oracle's — the equivalence gate of DESIGN.md §13. The
 //! summary JSON is byte-identical to an uninterrupted run at any
-//! `SINT_THREADS`.
+//! `SINT_THREADS`, and at any `SINT_PANEL_WIDTH` (width 1 runs the
+//! scalar, memo-free oracle path; the default width shares a detector
+//! memo across the batch).
 //!
 //! ```text
 //! adaptive_check <checkpoint.json> <summary.json> [--halt-after N]
@@ -26,7 +28,7 @@
 //! error or equivalence failure, 3 = halted deliberately at the
 //! `--halt-after` threshold.
 
-use sint_bench::threads_from_env;
+use sint_bench::{panel_width_from_env, threads_from_env};
 use sint_core::adaptive::AdaptiveCheckpoint;
 use sint_core::campaign::{Campaign, RetryPolicy, Trial};
 use sint_core::session::{ObservationMethod, SessionConfig};
@@ -112,7 +114,10 @@ fn run() -> Result<ExitCode, String> {
     // of the tool's output.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let campaign = campaign();
+    let mut campaign = campaign();
+    if let Some(width) = panel_width_from_env() {
+        campaign = campaign.panel_width(width);
+    }
     let batch = trials();
     let checkpoint_path = args.checkpoint_path.clone();
     let halt_after = args.halt_after;

@@ -10,7 +10,10 @@
 //! asserts the acceptance bar (≥3× TCK reduction) and the equivalence
 //! gate (identical detected sets) before it is written, so a
 //! regression fails the bench run rather than silently shipping a
-//! worse artifact.
+//! worse artifact. Next to the simulated TCK reduction it records the
+//! host wall-clock reduction: both engines share a per-call detector
+//! memo (DESIGN.md §14), so the adaptive engine's re-fired escalation
+//! windows cost a lookup, not a solve.
 
 use sint_bench::{emit_artifact, threads_from_env};
 use sint_core::campaign::{Campaign, Trial};
@@ -81,12 +84,16 @@ fn main() {
     // clock while the min-iteration floor still smooths the
     // ledger-dependent jitter of the adaptive path.
     let mut b = Bench::new("adaptive").samples(10).min_iters(2);
-    b.measure(&format!("exhaustive_campaign/n{WIRES}/t{TRIALS}"), || {
-        black_box(campaign.run_attributed(black_box(&batch), threads));
-    });
-    b.measure(&format!("adaptive_campaign/n{WIRES}/t{TRIALS}"), || {
-        black_box(campaign.run_adaptive(black_box(&batch), threads));
-    });
+    let exhaustive_ns = b
+        .measure(&format!("exhaustive_campaign/n{WIRES}/t{TRIALS}"), || {
+            black_box(campaign.run_attributed(black_box(&batch), threads));
+        })
+        .median_ns;
+    let adaptive_ns = b
+        .measure(&format!("adaptive_campaign/n{WIRES}/t{TRIALS}"), || {
+            black_box(campaign.run_adaptive(black_box(&batch), threads));
+        })
+        .median_ns;
 
     // A single-SoC measurement for the per-session view (no campaign
     // amortisation): adaptive localization on one defective device.
@@ -119,6 +126,15 @@ fn main() {
                 ("escalations", adaptive.escalations.to_json()),
                 ("detected_pairs", adaptive.detected.len().to_json()),
                 ("equivalent", true.to_json()),
+            ]),
+        ),
+        (
+            "wall_clock",
+            Json::obj([
+                ("threads", threads.to_json()),
+                ("exhaustive_median_ns", exhaustive_ns.to_json()),
+                ("adaptive_median_ns", adaptive_ns.to_json()),
+                ("reduction", (exhaustive_ns / adaptive_ns.max(1.0)).to_json()),
             ]),
         ),
     ]);

@@ -8,16 +8,21 @@
 //! as soon as N trials are checkpointed — simulating a kill — and a
 //! later invocation without the flag resumes from the snapshot,
 //! re-running only unfinished trials. The final summary JSON is
-//! byte-identical to an uninterrupted run at any `SINT_THREADS`.
+//! byte-identical to an uninterrupted run at any `SINT_THREADS`, and
+//! outside deadline mode at any `SINT_PANEL_WIDTH` (width 1 runs the
+//! scalar, memo-free oracle path; the default width shares a detector
+//! memo across the batch).
 //!
 //! With `--deadline-ms N` the campaign runs deadline-bounded: every
 //! trial gets an `N`-millisecond budget and one control is swapped for
 //! a wedged trial (a solve that cannot finish inside any deadline). At
-//! `N = 0` the deadline has already expired when the first solver
+//! `N = 0` the deadline has already expired when the first
 //! cancellation poll runs, so every solver-bound trial sheds at the
 //! same deterministic step — which makes the kill/resume byte-identity
 //! contract checkable for shed records too: the checkpoint must
-//! round-trip `TrialShed` entries exactly.
+//! round-trip `TrialShed` entries exactly. (The first poll of a batched
+//! flush comes before its detector-memo lookup and reports step 0; the
+//! scalar path at width 1 first polls inside the solver, at step 32.)
 //!
 //! ```text
 //! campaign_resume <checkpoint.json> <summary.json> \
@@ -27,7 +32,7 @@
 //! Exit codes: 0 = campaign complete, 2 = usage/IO error, 3 = halted
 //! deliberately at the `--halt-after` threshold.
 
-use sint_bench::threads_from_env;
+use sint_bench::{panel_width_from_env, threads_from_env};
 use sint_core::campaign::{Campaign, RetryPolicy, Trial};
 use sint_core::checkpoint::CampaignCheckpoint;
 use sint_interconnect::Defect;
@@ -120,6 +125,9 @@ fn run() -> Result<ExitCode, String> {
         Campaign::new(3).retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() });
     if let Some(ms) = args.deadline_ms {
         campaign = campaign.deadline(std::time::Duration::from_millis(ms));
+    }
+    if let Some(width) = panel_width_from_env() {
+        campaign = campaign.panel_width(width);
     }
     let batch = trials(args.deadline_ms.is_some());
     let checkpoint_path = args.checkpoint_path.clone();

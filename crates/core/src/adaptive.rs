@@ -26,6 +26,7 @@ use crate::campaign::{
 use crate::checkpoint::{CheckpointEntry, CheckpointError};
 use crate::error::CoreError;
 use crate::mafm::{CoverageLedger, IntegrityFault};
+use crate::memo::DetectorMemo;
 use crate::soc::AdaptiveSessionOutcome;
 use sint_interconnect::drive::DriveLevel;
 use sint_runtime::cancel::CancelToken;
@@ -406,6 +407,7 @@ impl Campaign {
         );
         let pool = Pool::new(threads);
         let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
+        let memo = DetectorMemo::new();
         for round in done..total_rounds {
             let start = round * round_size;
             let end = ((round + 1) * round_size).min(trials.len());
@@ -423,6 +425,7 @@ impl Campaign {
                     budget_token.as_ref(),
                     Some(&ledger),
                     order,
+                    Some(&memo),
                 )
             });
             for ((index, _), result) in batch.iter().zip(results) {
@@ -447,6 +450,7 @@ impl Campaign {
         let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
         let order = [DriveLevel::Low, DriveLevel::High];
         let batch: Vec<(usize, Trial)> = trials.iter().copied().enumerate().collect();
+        let memo = DetectorMemo::new();
         let results = pool.try_map(&batch, |_, (index, trial)| {
             self.run_adaptive_trial_attempts(
                 *trial,
@@ -454,6 +458,7 @@ impl Campaign {
                 budget_token.as_ref(),
                 None,
                 order,
+                Some(&memo),
             )
         });
         for ((index, _), result) in batch.iter().zip(results) {
@@ -490,8 +495,14 @@ impl Campaign {
                 [DriveLevel::Low, DriveLevel::High]
             };
             let ledger = checkpoint.ledger.clone();
-            let result =
-                Ok(self.run_adaptive_trial_attempts(*trial, index as u64, budget, Some(&ledger), order));
+            let result = Ok(self.run_adaptive_trial_attempts(
+                *trial,
+                index as u64,
+                budget,
+                Some(&ledger),
+                order,
+                None,
+            ));
             let entry = self.fold_result(index, result, &mut checkpoint);
             stats.accumulate(entry.outcome);
             emit(&entry);
@@ -520,7 +531,7 @@ impl Campaign {
         half_order: [DriveLevel; 2],
     ) -> (AttemptOutcome, Option<AdaptiveDelta>) {
         match catch_unwind(AssertUnwindSafe(|| {
-            self.run_adaptive_trial_seeded(trial, seed, Some(ledger), half_order)
+            self.run_adaptive_trial_seeded(trial, seed, Some(ledger), half_order, None)
         })) {
             Ok(Ok(report)) => (
                 AttemptOutcome::Verdict(report.outcome),
@@ -596,7 +607,8 @@ impl Campaign {
     /// Adaptive counterpart of the internal retry engine: bounded,
     /// seed-perturbed attempts with panic isolation, running either the
     /// ledger-driven adaptive session (`ledger = Some`) or the
-    /// attributed-exhaustive oracle (`ledger = None`).
+    /// attributed-exhaustive oracle (`ledger = None`), on SoCs sharing
+    /// the calling batch engine's detector memo, if any.
     fn run_adaptive_trial_attempts(
         &self,
         trial: Trial,
@@ -604,6 +616,7 @@ impl Campaign {
         budget: Option<&CancelToken>,
         ledger: Option<&CoverageLedger>,
         half_order: [DriveLevel; 2],
+        memo: Option<&DetectorMemo>,
     ) -> Result<AdaptiveTrialReport, TrialAbort> {
         if let Some(token) = budget {
             if token.poll_deadline() || token.is_cancelled() {
@@ -616,7 +629,7 @@ impl Campaign {
         for attempt in 0..max_attempts {
             let seed = base_seed.wrapping_add((attempt as u64).wrapping_mul(policy.seed_stride));
             match catch_unwind(AssertUnwindSafe(|| {
-                self.run_adaptive_trial_seeded(trial, seed, ledger, half_order)
+                self.run_adaptive_trial_seeded(trial, seed, ledger, half_order, memo)
             })) {
                 Ok(Ok(report)) => return Ok(report),
                 Ok(Err(CoreError::DeadlineExceeded { step })) => {
@@ -636,12 +649,13 @@ impl Campaign {
         seed_offset: u64,
         ledger: Option<&CoverageLedger>,
         half_order: [DriveLevel; 2],
+        memo: Option<&DetectorMemo>,
     ) -> Result<AdaptiveTrialReport, CoreError> {
         if trial.sabotage == TrialSabotage::Panic {
             panic!("injected fault: sabotaged trial (TrialSabotage::Panic)");
         }
         let config = self.trial_session_config(trial)?;
-        let mut soc = self.build_trial_soc(trial, seed_offset)?;
+        let mut soc = self.build_trial_soc(trial, seed_offset, memo)?;
         let outcome = match ledger {
             Some(ledger) => soc.run_adaptive_session(&config, ledger, half_order)?,
             None => soc.run_attributed_exhaustive(&config)?,

@@ -9,6 +9,7 @@
 use crate::adaptive::AdaptiveConfig;
 use crate::cost::MethodPlanner;
 use crate::error::CoreError;
+use crate::memo::DetectorMemo;
 use crate::session::{IntegrityReport, ObservationMethod, SessionConfig};
 use crate::soc::{Soc, SocBuilder};
 use crate::timing::ChainGeometry;
@@ -641,11 +642,22 @@ impl Campaign {
     /// Panics when the trial carries [`TrialSabotage::Panic`] — the
     /// batch engines catch this and report a [`TrialFailure`].
     pub fn run_trial_seeded(&self, trial: Trial, seed_offset: u64) -> Result<TrialOutcome, CoreError> {
+        self.run_trial_memo(trial, seed_offset, None)
+    }
+
+    /// [`Campaign::run_trial_seeded`] on a SoC sharing the calling
+    /// batch engine's [`DetectorMemo`], if any.
+    fn run_trial_memo(
+        &self,
+        trial: Trial,
+        seed_offset: u64,
+        memo: Option<&DetectorMemo>,
+    ) -> Result<TrialOutcome, CoreError> {
         if trial.sabotage == TrialSabotage::Panic {
             panic!("injected fault: sabotaged trial (TrialSabotage::Panic)");
         }
         let config = self.trial_session_config(trial)?;
-        let mut soc = self.build_trial_soc(trial, seed_offset)?;
+        let mut soc = self.build_trial_soc(trial, seed_offset, memo)?;
         let report = soc.run_integrity_test(&config)?;
         Ok(Campaign::judge(trial, &report))
     }
@@ -673,10 +685,18 @@ impl Campaign {
     }
 
     /// Builds one trial's SoC: bus parameters, sabotage chain fault,
-    /// panel width, per-die variation, the injected defect, and the
-    /// per-trial deadline token.
-    pub(crate) fn build_trial_soc(&self, trial: Trial, seed_offset: u64) -> Result<Soc, CoreError> {
+    /// panel width, per-die variation, the injected defect, the batch
+    /// engine's detector memo, and the per-trial deadline token.
+    pub(crate) fn build_trial_soc(
+        &self,
+        trial: Trial,
+        seed_offset: u64,
+        memo: Option<&DetectorMemo>,
+    ) -> Result<Soc, CoreError> {
         let mut builder = SocBuilder::new(self.wires).bus_params(self.bus_params.clone());
+        if let Some(memo) = memo {
+            builder = builder.detector_memo(memo.clone());
+        }
         if let TrialSabotage::ChainFault(fault) = trial.sabotage {
             builder = builder.scan_fault(fault);
         }
@@ -723,12 +743,14 @@ impl Campaign {
     ///
     /// Attempt 0 uses `base_seed` unchanged; attempt `a` uses
     /// `base_seed + a * seed_stride` (wrapping), so a healthy trial is
-    /// byte-identical to the retry-free engine.
+    /// byte-identical to the retry-free engine. `memo` is the calling
+    /// batch engine's detector memo (`None` solves every pattern).
     pub(crate) fn run_trial_attempts(
         &self,
         trial: Trial,
         base_seed: u64,
         budget: Option<&CancelToken>,
+        memo: Option<&DetectorMemo>,
     ) -> Result<TrialOutcome, TrialAbort> {
         if let Some(token) = budget {
             if token.poll_deadline() || token.is_cancelled() {
@@ -740,7 +762,7 @@ impl Campaign {
         for attempt in 0..max_attempts {
             let seed =
                 base_seed.wrapping_add((attempt as u64).wrapping_mul(self.retry.seed_stride));
-            match catch_unwind(AssertUnwindSafe(|| self.run_trial_seeded(trial, seed))) {
+            match catch_unwind(AssertUnwindSafe(|| self.run_trial_memo(trial, seed, memo))) {
                 Ok(Ok(outcome)) => return Ok(outcome),
                 // A deadline overrun is shed, never retried: re-running
                 // the same trial against the same clock only repeats.
@@ -803,11 +825,15 @@ impl Campaign {
     /// [`RetryPolicy`] and, if every attempt fails, is reported as
     /// [`TrialOutcome::Failed`] plus a [`TrialFailure`] record — one
     /// broken trial never takes down its siblings or the batch.
+    ///
+    /// The trials share one [`DetectorMemo`] for the duration of the
+    /// call, so a vector pair is solved once per distinct bus.
     #[must_use]
     pub fn run_parallel(&self, trials: &[Trial], threads: usize) -> CampaignRun {
         let budget_token = self.budget.map(CancelToken::with_deadline);
+        let memo = DetectorMemo::new();
         let results = Pool::new(threads).try_map(trials, |idx, trial| {
-            self.run_trial_attempts(*trial, idx as u64, budget_token.as_ref())
+            self.run_trial_attempts(*trial, idx as u64, budget_token.as_ref(), Some(&memo))
         });
         let max_attempts = self.retry.max_attempts.max(1);
         let mut outcomes = Vec::with_capacity(results.len());
@@ -1089,5 +1115,28 @@ mod tests {
         let plain = Campaign::new(3).run(&trials);
         let bounded = Campaign::new(3).deadline(Duration::from_secs(600)).run(&trials);
         assert_eq!(plain.to_json().render(), bounded.to_json().render());
+    }
+
+    #[test]
+    fn zero_deadline_sheds_at_step_zero_whether_the_memo_hits_or_misses() {
+        // A memo hit never reaches the solver's cancellation polls, so a
+        // memoised flush polls before its lookups: a zero-deadline trial
+        // must shed with the same record whether another trial already
+        // solved its patterns or not — the shed record cannot depend on
+        // which worker got to a key first.
+        let trial = Trial::control();
+        let warm = DetectorMemo::new();
+        let filled = Campaign::new(3).run_trial_attempts(trial, 0, None, Some(&warm));
+        assert_eq!(filled, Ok(TrialOutcome::CleanPass));
+        assert!(warm.entries() > 0, "the control's patterns were stored");
+        let entries = warm.entries();
+
+        let doomed = Campaign::new(3).deadline(Duration::ZERO);
+        let shed = Err(TrialAbort::Shed(ShedReason::Deadline { step: 0 }));
+        assert_eq!(doomed.run_trial_attempts(trial, 0, None, Some(&warm)), shed, "all hits");
+        assert_eq!(warm.entries(), entries, "a shed flush stores nothing");
+        let cold = DetectorMemo::new();
+        assert_eq!(doomed.run_trial_attempts(trial, 0, None, Some(&cold)), shed, "all misses");
+        assert_eq!(cold.entries(), 0);
     }
 }

@@ -14,6 +14,7 @@ use crate::campaign::{
     Campaign, CampaignRun, CampaignStats, ShedReason, Trial, TrialAbort, TrialFailure,
     TrialOutcome, TrialShed,
 };
+use crate::memo::DetectorMemo;
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, JsonParseError, ToJson};
 use sint_runtime::pool::Pool;
@@ -364,7 +365,7 @@ impl Campaign {
         let mut stats = CampaignStats::default();
         for (index, trial) in trials.iter().enumerate() {
             let seed = index as u64;
-            let (outcome, failure, shed) = match self.run_trial_attempts(*trial, seed, budget) {
+            let (outcome, failure, shed) = match self.run_trial_attempts(*trial, seed, budget, None) {
                 Ok(outcome) => (outcome, None, None),
                 Err(TrialAbort::Failed { attempts, error }) => (
                     TrialOutcome::Failed,
@@ -414,9 +415,10 @@ impl Campaign {
         let pool = Pool::new(threads);
         let max_attempts = self.retry_policy().max_attempts.max(1);
         let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
+        let memo = DetectorMemo::new();
         for batch in pending.chunks(snapshot_every.max(1)) {
             let results = pool.try_map(batch, |_, (index, trial)| {
-                self.run_trial_attempts(*trial, *index as u64, budget_token.as_ref())
+                self.run_trial_attempts(*trial, *index as u64, budget_token.as_ref(), Some(&memo))
             });
             for ((index, _), result) in batch.iter().zip(results) {
                 let seed = *index as u64;

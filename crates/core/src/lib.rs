@@ -29,6 +29,8 @@
 //! * [`campaign`] / [`checkpoint`] — panic-isolated defect-injection
 //!   campaigns with bounded retry, periodic snapshots and
 //!   byte-identical resume.
+//! * [`memo`] — the campaign-scoped detector-response memo: each
+//!   (bus, vector pair) is solved once per batch-engine call.
 //!
 //! # Example
 //!
@@ -56,6 +58,7 @@ pub mod error;
 pub mod infra;
 pub mod instructions;
 pub mod mafm;
+pub mod memo;
 pub mod nd;
 pub mod obsc;
 pub mod pgbsc;

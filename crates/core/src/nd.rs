@@ -56,6 +56,59 @@ impl NdThresholds {
     pub fn in_vulnerable_band(&self, v: f64) -> bool {
         v > self.v_low_max && v < self.v_high_min
     }
+
+    fn side_of(&self, v: f64) -> Option<Side> {
+        if v <= self.v_low_max {
+            Some(Side::Below)
+        } else if v >= self.v_high_min {
+            Some(Side::Above)
+        } else {
+            None
+        }
+    }
+
+    /// Whether one pattern window's received waveform (supply `vdd`)
+    /// violates these thresholds — the latching conditions of the
+    /// module documentation, independent of any detector's CE or
+    /// flip-flop state. An empty waveform never violates.
+    #[must_use]
+    pub fn violated_by(&self, wave: &[f64], vdd: f64) -> bool {
+        let Some(&first) = wave.first() else {
+            return false;
+        };
+        let mut outside = self.side_of(first);
+        let mut entered_from: Option<Side> = None;
+        let mut traversals = 0u32;
+        for &v in wave {
+            if v > vdd + self.overshoot_margin || v < -self.overshoot_margin {
+                return true;
+            }
+            match self.side_of(v) {
+                None => {
+                    if entered_from.is_none() {
+                        entered_from = outside;
+                    }
+                }
+                Some(s) => {
+                    if let Some(e) = entered_from.take() {
+                        if e == s {
+                            // Same-side return: a glitch.
+                            return true;
+                        }
+                        traversals += 1;
+                    } else if outside.is_some() && outside != Some(s) {
+                        // Jumped straight across between two samples.
+                        traversals += 1;
+                    }
+                    if traversals >= 2 {
+                        return true;
+                    }
+                    outside = Some(s);
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Which side of the vulnerable band a sample sits on.
@@ -123,16 +176,6 @@ impl NoiseDetector {
         self.latched = false;
     }
 
-    fn side_of(&self, v: f64) -> Option<Side> {
-        if v <= self.thresholds.v_low_max {
-            Some(Side::Below)
-        } else if v >= self.thresholds.v_high_min {
-            Some(Side::Above)
-        } else {
-            None
-        }
-    }
-
     /// Feeds one pattern window's received waveform (`dt` seconds per
     /// sample, supply `vdd`) through the detector; see the module
     /// documentation for the latching conditions.
@@ -140,49 +183,19 @@ impl NoiseDetector {
     /// Returns whether *this* observation produced a violation (the
     /// sticky flip-flop may already have been set earlier).
     pub fn observe(&mut self, wave: &[f64], _dt: f64, vdd: f64) -> bool {
-        if !self.enabled || wave.is_empty() {
+        if !self.enabled {
             return false;
         }
-        let mut outside = self.side_of(wave[0]);
-        let mut entered_from: Option<Side> = None;
-        let mut traversals = 0u32;
-        let mut hit = false;
-        for &v in wave {
-            if v > vdd + self.thresholds.overshoot_margin
-                || v < -self.thresholds.overshoot_margin
-            {
-                hit = true;
-                break;
-            }
-            match self.side_of(v) {
-                None => {
-                    if entered_from.is_none() {
-                        entered_from = outside;
-                    }
-                }
-                Some(s) => {
-                    if let Some(e) = entered_from.take() {
-                        if e == s {
-                            // Same-side return: a glitch.
-                            hit = true;
-                            break;
-                        }
-                        traversals += 1;
-                    } else if outside.is_some() && outside != Some(s) {
-                        // Jumped straight across between two samples.
-                        traversals += 1;
-                    }
-                    if traversals >= 2 {
-                        hit = true;
-                        break;
-                    }
-                    outside = Some(s);
-                }
-            }
-        }
-        if hit {
-            self.latched = true;
-        }
+        self.record(self.thresholds.violated_by(wave, vdd))
+    }
+
+    /// Feeds a precomputed verdict — [`NdThresholds::violated_by`] of
+    /// the window's waveform — through the CE gate into the sticky
+    /// flip-flop. Equivalent to [`NoiseDetector::observe`] on that
+    /// waveform, because the latch is a pure OR gated by CE.
+    pub fn record(&mut self, violated: bool) -> bool {
+        let hit = self.enabled && violated;
+        self.latched |= hit;
         hit
     }
 }

@@ -31,6 +31,27 @@ impl SdWindow {
     pub fn for_vdd(window: f64, vdd: f64) -> SdWindow {
         SdWindow { window, settle_tolerance: 0.3 * vdd }
     }
+
+    /// Whether a transition launched at `t_launch` (s from waveform
+    /// start) toward `final_level` is still unsettled when this window
+    /// samples it — independent of any detector's CE or flip-flop
+    /// state. An empty waveform never violates.
+    #[must_use]
+    pub fn violated_by(
+        &self,
+        wave: &[f64],
+        dt: f64,
+        vdd: f64,
+        final_level: DriveLevel,
+        t_launch: f64,
+    ) -> bool {
+        if wave.is_empty() {
+            return false;
+        }
+        let t_sample = t_launch + self.window;
+        let k = ((t_sample / dt).round() as usize).min(wave.len() - 1);
+        (wave[k] - final_level.voltage(vdd)).abs() > self.settle_tolerance
+    }
 }
 
 /// A sticky skew detector with its output flip-flop.
@@ -102,16 +123,19 @@ impl SkewDetector {
         final_level: DriveLevel,
         t_launch: f64,
     ) -> bool {
-        if !self.enabled || wave.is_empty() {
+        if !self.enabled {
             return false;
         }
-        let t_sample = t_launch + self.window.window;
-        let k = ((t_sample / dt).round() as usize).min(wave.len() - 1);
-        let target = final_level.voltage(vdd);
-        let hit = (wave[k] - target).abs() > self.window.settle_tolerance;
-        if hit {
-            self.latched = true;
-        }
+        self.record(self.window.violated_by(wave, dt, vdd, final_level, t_launch))
+    }
+
+    /// Feeds a precomputed verdict — [`SdWindow::violated_by`] of the
+    /// transition — through the CE gate into the sticky flip-flop.
+    /// Equivalent to [`SkewDetector::observe`] on that waveform,
+    /// because the latch is a pure OR gated by CE.
+    pub fn record(&mut self, violated: bool) -> bool {
+        let hit = self.enabled && violated;
+        self.latched |= hit;
         hit
     }
 }

@@ -16,6 +16,7 @@ use crate::error::CoreError;
 use crate::infra::InfrastructureDiagnosis;
 use crate::instructions::extended_instruction_set;
 use crate::mafm::{victim_select, CoverageLedger, CoverageReport, IntegrityFault, QUARANTINE_PARK};
+use crate::memo::{DetectorBits, DetectorMemo, MemoSlot, PairKey, WireVerdict};
 use crate::timing::ChainGeometry;
 use crate::nd::NdThresholds;
 use crate::obsc::Obsc;
@@ -30,7 +31,7 @@ use sint_interconnect::error::InterconnectError;
 use sint_interconnect::measure::{propagation_delay, settled_value};
 use sint_interconnect::params::{Bus, BusParams};
 use sint_interconnect::solver::{
-    GuardrailEvent, GuardrailPolicy, PanelScratch, SimScratch, TransientSim,
+    GuardrailEvent, GuardrailPolicy, PanelScratch, SimScratch, TransientSim, WavePanel,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -62,6 +63,7 @@ pub struct SocBuilder {
     chain_policy: ChainPolicy,
     panel_width: usize,
     solver_cache: Option<SolverCache>,
+    memo: Option<DetectorMemo>,
 }
 
 impl SocBuilder {
@@ -81,6 +83,7 @@ impl SocBuilder {
             chain_policy: ChainPolicy::default(),
             panel_width: DEFAULT_PANEL_WIDTH,
             solver_cache: None,
+            memo: None,
         }
     }
 
@@ -105,6 +108,21 @@ impl SocBuilder {
     #[must_use]
     pub fn solver_cache(mut self, cache: SolverCache) -> Self {
         self.solver_cache = Some(cache);
+        self
+    }
+
+    /// Shares a batch-scoped [`DetectorMemo`]: batched flushes replay
+    /// the stored detector bits of patterns any SoC on the memo has
+    /// already solved on this exact bus, and solve only the rest. The
+    /// batch engines attach one memo per call; this hook is not part of
+    /// the public API and exists so the replay equivalence can be
+    /// property-tested from outside the crate. Ignored at panel width
+    /// 1 (the scalar oracle) and on [`SolverCache`]-derived solvers,
+    /// whose waveforms agree with fresh factors only numerically.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn detector_memo(mut self, memo: DetectorMemo) -> Self {
+        self.memo = Some(memo);
         self
     }
 
@@ -303,6 +321,10 @@ impl SocBuilder {
         };
         let sim_key = (bus.fingerprint(), sim.dt().to_bits());
         let sim_cache = HashMap::from([(sim_key, Arc::clone(&sim))]);
+        let memo = self
+            .memo
+            .filter(|_| self.panel_width > 1 && !sim.is_rank_updated())
+            .and_then(|memo| memo.slot_for(&bus, &nd, &sd).map(|slot| (memo, slot)));
         let mut chain = Chain::single(device);
         if let Some(fault) = self.scan_fault {
             chain.inject_fault(fault);
@@ -319,8 +341,12 @@ impl SocBuilder {
             guardrail_events,
             scratch: SimScratch::new(),
             panel_scratch: PanelScratch::new(),
+            panel: WavePanel::new(),
             pending: Vec::new(),
             panel_width: self.panel_width,
+            nd,
+            sd,
+            memo,
             wires: self.wires,
             extra_cells: self.extra_cells,
             prev: None,
@@ -443,6 +469,8 @@ pub struct Soc {
     scratch: SimScratch,
     /// Reused multi-RHS scratch for the batched pattern path.
     panel_scratch: PanelScratch,
+    /// Reused waveform storage for the batched pattern path.
+    panel: WavePanel,
     /// Patterns whose Update-DR has happened digitally but whose
     /// transient has not run yet: the bus response is deferred until a
     /// read-out (or a full panel) forces it, then solved as one
@@ -450,6 +478,13 @@ pub struct Soc {
     pending: Vec<PendingPattern>,
     /// Max pending patterns per batched solve; 1 = scalar oracle path.
     panel_width: usize,
+    /// The ND thresholds every OBSC was built with.
+    nd: NdThresholds,
+    /// The SD window every OBSC was built with.
+    sd: SdWindow,
+    /// The batch-scoped detector memo and this SoC's slot in it; `None`
+    /// runs every pattern through the solver.
+    memo: Option<(DetectorMemo, MemoSlot)>,
     wires: usize,
     extra_cells: usize,
     /// Last defined vector driven onto the bus.
@@ -502,7 +537,10 @@ impl Soc {
         self.driver.tck()
     }
 
-    /// Transient analyses run so far.
+    /// Patterns whose bus response has been observed so far — solved
+    /// or, on a [`DetectorMemo`] hit, replayed from stored detector
+    /// bits. Schedule-independent: the count is the same whichever
+    /// SoC of a batch solved a shared pattern first.
     #[must_use]
     pub fn transients_run(&self) -> usize {
         self.transients_run
@@ -728,10 +766,9 @@ impl Soc {
             };
             self.transients_run += 1;
             self.patterns_applied += 1;
-            let dt = waves.dt();
-            let switch_at = sim.switch_at();
             for w in 0..self.wires {
-                self.observe_wire(w, waves.wire(w), &pair, ce, dt, switch_at)?;
+                let v = self.wire_verdict(w, waves.wire(w), &pair, waves.dt(), sim.switch_at(), ce);
+                self.latch_wire(w, v, ce)?;
             }
         } else {
             // Batched path: the pattern is digitally applied now, its
@@ -748,65 +785,149 @@ impl Soc {
         Ok(())
     }
 
-    /// Solves every queued pattern as one multi-RHS panel transient and
-    /// feeds the detectors in application order. The panel path is
+    /// Observes every queued pattern, in application order. With a
+    /// memo attached, patterns whose detector bits are already stored
+    /// are replayed and only the rest are solved; otherwise all of them
+    /// are solved as one multi-RHS panel transient. The panel path is
     /// bitwise identical to the scalar oracle for finite systems (and
-    /// replays sequentially through it otherwise), so flushing at
-    /// read-out boundaries observes exactly what per-pattern scalar
-    /// runs would have.
+    /// replays sequentially through it otherwise), and the detectors
+    /// are pure CE-gated OR-latches, so flushing at read-out boundaries
+    /// observes exactly what per-pattern scalar runs would have.
     fn flush_pending(&mut self) -> Result<(), CoreError> {
         if self.pending.is_empty() {
             return Ok(());
         }
         let pending = std::mem::take(&mut self.pending);
-        let pairs: Vec<VectorPair> = pending.iter().map(|p| p.pair.clone()).collect();
-        let sim = Arc::clone(&self.sim);
-        let waves = match sim.run_pairs_cancellable(
-            &pairs,
-            self.settle,
-            &mut self.panel_scratch,
-            self.cancel.as_ref(),
-        ) {
-            Ok(waves) => waves,
-            Err(InterconnectError::Cancelled { step }) => {
-                return Err(CoreError::DeadlineExceeded { step });
+        // Size the solve buffers for a full panel up front, whether or
+        // not this flush solves anything: every SoC then makes the same
+        // allocations whatever the memo serves it. Buffers grown by miss
+        // count, or only in SoCs that happen to miss, fragment the
+        // worker heaps and spread peak RSS from run to run.
+        self.sim.reserve_panel(self.panel_width, self.settle, &mut self.panel_scratch, &mut self.panel);
+        let bits = match self.memo.clone() {
+            Some((memo, slot)) => self.memoised_bits(&memo, slot, &pending)?,
+            None => {
+                let pairs: Vec<VectorPair> = pending.iter().map(|p| p.pair.clone()).collect();
+                let detectors: Vec<bool> = pending.iter().map(|p| p.ce).collect();
+                self.solve_bits(&pairs, &detectors)?
             }
-            Err(e) => return Err(e.into()),
         };
         self.transients_run += pending.len();
-        let dt = waves.dt();
-        let switch_at = sim.switch_at();
-        for (c, p) in pending.iter().enumerate() {
+        for (p, bits) in pending.iter().zip(&bits) {
             for w in 0..self.wires {
-                self.observe_wire(w, waves.wire(c, w), &p.pair, p.ce, dt, switch_at)?;
+                self.latch_wire(w, bits.get(w), p.ce)?;
             }
         }
         Ok(())
     }
 
-    /// Feeds one wire's waveform into its OBSC: detector observations
-    /// (ND always, SD when the wire switched) and the settled parallel
-    /// input.
-    fn observe_wire(
+    /// Every pending pattern's detector bits: stored ones from the
+    /// memo, the rest solved (each distinct pair once) and inserted.
+    fn memoised_bits(
         &mut self,
+        memo: &DetectorMemo,
+        slot: MemoSlot,
+        pending: &[PendingPattern],
+    ) -> Result<Vec<DetectorBits>, CoreError> {
+        // A hit never reaches the solver's cancellation polls, so poll
+        // here, before any lookup: an expired deadline sheds the same
+        // way whether the patterns hit or miss.
+        if self.cancel.as_ref().is_some_and(CancelToken::poll_deadline) {
+            return Err(CoreError::DeadlineExceeded { step: 0 });
+        }
+        let table = slot.table(self.sim.dt(), self.settle);
+        let keys: Vec<PairKey> = pending.iter().map(|p| PairKey::pack(&p.pair)).collect();
+        let found = memo.lookup(table, &keys);
+        let mut misses: Vec<usize> = Vec::new();
+        for (i, hit) in found.iter().enumerate() {
+            if hit.is_none() && !misses.iter().any(|&m| keys[m] == keys[i]) {
+                misses.push(i);
+            }
+        }
+        let pairs: Vec<VectorPair> = misses.iter().map(|&i| pending[i].pair.clone()).collect();
+        let solved = self.solve_bits(&pairs, &vec![true; pairs.len()])?;
+        let fresh: Vec<(PairKey, DetectorBits)> =
+            misses.iter().map(|&i| keys[i].clone()).zip(solved).collect();
+        memo.insert(table, &fresh);
+        Ok(found
+            .into_iter()
+            .zip(&keys)
+            .map(|(hit, key)| {
+                hit.unwrap_or_else(|| {
+                    let (_, bits) = fresh.iter().find(|(k, _)| k == key).expect("every miss was solved");
+                    bits.clone()
+                })
+            })
+            .collect())
+    }
+
+    /// Solves `pairs` as one panel on the active solver and reduces each
+    /// pattern's waveforms to detector bits; `detectors[c]` false skips
+    /// the ND/SD verdicts of pattern `c` (a CE-low pattern nothing will
+    /// replay).
+    fn solve_bits(
+        &mut self,
+        pairs: &[VectorPair],
+        detectors: &[bool],
+    ) -> Result<Vec<DetectorBits>, CoreError> {
+        if pairs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let Soc { sim, settle, cancel, panel_scratch: scratch, panel, .. } = self;
+        match sim.run_pairs_into(pairs, *settle, scratch, cancel.as_ref(), panel) {
+            Ok(()) => {}
+            Err(InterconnectError::Cancelled { step }) => {
+                return Err(CoreError::DeadlineExceeded { step });
+            }
+            Err(e) => return Err(e.into()),
+        }
+        let (dt, switch_at) = (self.panel.dt(), self.panel.switch_at());
+        let panel = &self.panel;
+        Ok(pairs
+            .iter()
+            .zip(detectors)
+            .enumerate()
+            .map(|(c, (pair, &full))| {
+                let mut bits = DetectorBits::new(self.wires);
+                for w in 0..self.wires {
+                    bits.set(w, self.wire_verdict(w, panel.wire(c, w), pair, dt, switch_at, full));
+                }
+                bits
+            })
+            .collect())
+    }
+
+    /// Reduces one wire's received waveform to what its OBSC consumes:
+    /// the ND and SD verdicts (SD only when the wire switched; both
+    /// skipped when `detectors` is false) and the settled level.
+    fn wire_verdict(
+        &self,
         w: usize,
         wave: &[f64],
         pair: &VectorPair,
-        ce: bool,
         dt: f64,
         switch_at: f64,
-    ) -> Result<(), CoreError> {
+        detectors: bool,
+    ) -> WireVerdict {
         let vdd = self.bus.vdd();
-        let switched = pair.switches(w);
-        let final_level = pair.after(w);
-        let settled = settled_value(wave, 0.1);
+        WireVerdict {
+            nd: detectors && self.nd.violated_by(wave, vdd),
+            sd: detectors
+                && pair.switches(w)
+                && self.sd.violated_by(wave, dt, vdd, pair.after(w), switch_at),
+            high: settled_value(wave, 0.1) > vdd / 2.0,
+        }
+    }
+
+    /// Feeds one wire's verdict into its OBSC under detector-enable
+    /// `ce`: the ND/SD flip-flops latch a verdict only while enabled,
+    /// and the settled level becomes the parallel input.
+    fn latch_wire(&mut self, w: usize, v: WireVerdict, ce: bool) -> Result<(), CoreError> {
         let obsc = self.obsc_mut(w)?;
         obsc.set_detectors_enabled(ce);
-        obsc.nd_mut().observe(wave, dt, vdd);
-        if switched {
-            obsc.sd_mut().observe(wave, dt, vdd, final_level, switch_at);
-        }
-        obsc.set_parallel_input(Logic::from(settled > vdd / 2.0));
+        obsc.nd_mut().record(v.nd);
+        obsc.sd_mut().record(v.sd);
+        obsc.set_parallel_input(Logic::from(v.high));
         Ok(())
     }
 

@@ -1044,6 +1044,22 @@ impl TransientSim {
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<WavePanel, InterconnectError> {
+        let mut wp = WavePanel::default();
+        self.run_panel_into(stimuli, duration, scratch, cancel, &mut wp)?;
+        Ok(wp)
+    }
+
+    /// As [`TransientSim::run_panel_cancellable`], writing into a
+    /// caller-owned [`WavePanel`] whose buffers are reused across
+    /// calls. On error `out` holds unspecified samples.
+    fn run_panel_into(
+        &self,
+        stimuli: &[Stimulus],
+        duration: f64,
+        scratch: &mut PanelScratch,
+        cancel: Option<&CancelToken>,
+        out: &mut WavePanel,
+    ) -> Result<(), InterconnectError> {
         if duration <= 0.0 {
             return Err(InterconnectError::time("duration must be positive"));
         }
@@ -1057,7 +1073,7 @@ impl TransientSim {
         }
         match &self.engine {
             Engine::BandedRc(_) | Engine::BandedRlc(_) => {
-                match self.run_panel_attempt(stimuli, duration, scratch, cancel) {
+                match self.run_panel_attempt(stimuli, duration, scratch, cancel, out) {
                     // A non-finite panel state cannot identify which
                     // pattern a sequential run would have failed on
                     // first (and the blocked kernels' dropped zero
@@ -1065,14 +1081,14 @@ impl TransientSim {
                     // so divergence replays the batch scalar-sequential
                     // for exact per-pattern semantics.
                     Err(InterconnectError::Diverged { .. }) => {
-                        self.run_panel_sequential(stimuli, duration, scratch, cancel)
+                        self.run_panel_sequential(stimuli, duration, scratch, cancel, out)
                     }
                     other => other,
                 }
             }
             #[cfg(feature = "dense-oracle")]
             Engine::DenseRc(_) | Engine::DenseRlc(_) => {
-                self.run_panel_sequential(stimuli, duration, scratch, cancel)
+                self.run_panel_sequential(stimuli, duration, scratch, cancel, out)
             }
         }
     }
@@ -1090,11 +1106,66 @@ impl TransientSim {
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<WavePanel, InterconnectError> {
+        let mut wp = WavePanel::default();
+        self.run_pairs_into(pairs, duration, scratch, cancel, &mut wp)?;
+        Ok(wp)
+    }
+
+    /// Grows `scratch` and `out` up front to hold a run of up to
+    /// `patterns` patterns over `duration`, so a caller whose batch
+    /// sizes vary holds one allocation per buffer at the full size
+    /// instead of growing each buffer batch by batch. A no-op once
+    /// the capacity is there.
+    pub fn reserve_panel(
+        &self,
+        patterns: usize,
+        duration: f64,
+        scratch: &mut PanelScratch,
+        out: &mut WavePanel,
+    ) {
+        fn reserve_len(buf: &mut Vec<f64>, len: usize) {
+            buf.reserve_exact(len.saturating_sub(buf.len()));
+        }
+        let samples = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize + 1;
+        let wires = self.bus.wires();
+        // The lane kernels run at most 8 patterns at a time.
+        let lanes = patterns.min(8);
+        reserve_len(&mut scratch.stage, samples * 2 * wires * lanes);
+        reserve_len(&mut scratch.lanes, self.engine.dim() * lanes);
+        reserve_len(&mut scratch.lrhs, self.engine.dim() * lanes);
+        for buf in [&mut out.receiver, &mut out.driver] {
+            let len = patterns * wires * samples;
+            if buf.capacity() < len {
+                // A fresh zeroed allocation: the allocator maps large
+                // ones from zero pages, so the part a run never writes
+                // costs no resident memory.
+                *buf = vec![0.0; len];
+            }
+        }
+    }
+
+    /// As [`TransientSim::run_pairs_cancellable`], writing into a
+    /// caller-owned [`WavePanel`] whose buffers are reused across calls:
+    /// a loop of batches then allocates its waveform storage once
+    /// instead of once per call. On error `out` holds unspecified
+    /// samples.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TransientSim::run_panel`].
+    pub fn run_pairs_into(
+        &self,
+        pairs: &[VectorPair],
+        duration: f64,
+        scratch: &mut PanelScratch,
+        cancel: Option<&CancelToken>,
+        out: &mut WavePanel,
+    ) -> Result<(), InterconnectError> {
         let stimuli: Vec<Stimulus> = pairs
             .iter()
             .map(|pair| Stimulus::from_pair(&self.bus, pair, self.switch_at))
             .collect::<Result<_, _>>()?;
-        self.run_panel_cancellable(&stimuli, duration, scratch, cancel)
+        self.run_panel_into(&stimuli, duration, scratch, cancel, out)
     }
 
     /// The batched banded panel loop (both formulations).
@@ -1104,23 +1175,24 @@ impl TransientSim {
         duration: f64,
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
-    ) -> Result<WavePanel, InterconnectError> {
+        wp: &mut WavePanel,
+    ) -> Result<(), InterconnectError> {
         let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
         scratch.reset(self.engine.dim(), stimuli.len());
-        let mut wp = WavePanel::empty(self, stimuli.len(), steps + 1);
+        wp.reset(self, stimuli.len(), steps + 1);
         match &self.engine {
             Engine::BandedRc(e) => {
-                self.run_banded_rc_panel(e, stimuli, steps, scratch, &mut wp, cancel)?;
+                self.run_banded_rc_panel(e, stimuli, steps, scratch, wp, cancel)?;
             }
             Engine::BandedRlc(e) => {
-                self.run_banded_rlc_panel(e, stimuli, steps, scratch, &mut wp, cancel)?;
+                self.run_banded_rlc_panel(e, stimuli, steps, scratch, wp, cancel)?;
             }
             #[cfg(feature = "dense-oracle")]
             Engine::DenseRc(_) | Engine::DenseRlc(_) => {
                 unreachable!("dense panel runs go through the sequential path")
             }
         }
-        Ok(wp)
+        Ok(())
     }
 
     /// The scalar-sequential reference: one [`TransientSim::run_cancellable`]
@@ -1134,11 +1206,12 @@ impl TransientSim {
         duration: f64,
         scratch: &mut PanelScratch,
         cancel: Option<&CancelToken>,
-    ) -> Result<WavePanel, InterconnectError> {
+        wp: &mut WavePanel,
+    ) -> Result<(), InterconnectError> {
         let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
         let samples = steps + 1;
         let w = self.bus.wires();
-        let mut wp = WavePanel::empty(self, stimuli.len(), samples);
+        wp.reset(self, stimuli.len(), samples);
         for (c, stim) in stimuli.iter().enumerate() {
             let waves = self.run_cancellable(stim, duration, &mut scratch.scalar, cancel)?;
             debug_assert_eq!(waves.samples(), samples);
@@ -1148,7 +1221,7 @@ impl TransientSim {
                 wp.driver[at..at + samples].copy_from_slice(waves.driver_end(wire));
             }
         }
-        Ok(wp)
+        Ok(())
     }
 
     /// Banded-RC panel dispatch: direct factors run the interleaved
@@ -1620,7 +1693,7 @@ pub const MAX_UPDATE_RANK: usize = 32;
 /// [`TransientSim::run_panel`]: one flat time-major column per
 /// `(pattern, wire)`, so the timestep loop writes each sample once at
 /// stride 1 within a column and per-pattern extraction is a memcpy.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WavePanel {
     dt: f64,
     switch_at: f64,
@@ -1635,17 +1708,38 @@ pub struct WavePanel {
 }
 
 impl WavePanel {
-    fn empty(sim: &TransientSim, patterns: usize, samples: usize) -> Self {
+    /// An empty panel holding no patterns; the `_into` entry points
+    /// (e.g. [`TransientSim::run_pairs_into`]) size it on use.
+    #[must_use]
+    pub fn new() -> WavePanel {
+        WavePanel::default()
+    }
+
+    /// Re-shapes the panel for a `patterns`-pattern run of `sim`,
+    /// keeping the buffers' capacity. Stale samples may remain: every
+    /// run path overwrites the whole panel before returning `Ok`.
+    fn reset(&mut self, sim: &TransientSim, patterns: usize, samples: usize) {
         let wires = sim.bus.wires();
-        WavePanel {
+        let len = patterns * wires * samples;
+        *self = WavePanel {
             dt: sim.dt,
             switch_at: sim.switch_at,
             vdd: sim.bus.vdd(),
             wires,
             patterns,
             samples,
-            receiver: vec![0.0; patterns * wires * samples],
-            driver: vec![0.0; patterns * wires * samples],
+            receiver: std::mem::take(&mut self.receiver),
+            driver: std::mem::take(&mut self.driver),
+        };
+        for buf in [&mut self.receiver, &mut self.driver] {
+            if buf.capacity() < len {
+                // A fresh zeroed allocation is faulted in lazily, page
+                // by page as the run writes it; a run cut short (say by
+                // cancellation) never touches the rest.
+                *buf = vec![0.0; len];
+            } else {
+                buf.resize(len, 0.0);
+            }
         }
     }
 

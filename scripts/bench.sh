@@ -5,6 +5,9 @@
 # comparable timing data. The uppercase BENCH_*.json names are the only
 # artifact paths this script writes at the repo root.
 #
+# Usage: scripts/bench.sh [name...]   e.g. `scripts/bench.sh adaptive`
+# refreshes only BENCH_adaptive.json; no names refreshes every artifact.
+#
 # Knobs:
 #   SINT_THREADS   worker-pool width for campaign-style bins
 #                  (default: host parallelism)
@@ -22,7 +25,8 @@ trap 'rm -rf "$dir"' EXIT
 
 cargo build --release -p sint-bench
 
-for name in solver session mafm robustness fleet adaptive; do
+names="${*:-solver session mafm robustness fleet adaptive}"
+for name in $names; do
     SINT_ARTIFACT_DIR="$dir" cargo run --release -p sint-bench --bin "bench_$name"
     mv "$dir/bench_$name.json" "BENCH_$name.json"
     echo "wrote BENCH_$name.json"

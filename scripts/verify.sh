@@ -277,4 +277,25 @@ if ! cmp "$tmp/ad_ref_summary.json" "$tmp/ad_summary.json"; then
 fi
 echo "adaptive equivalence: oracle match, summaries byte-identical"
 
+# Detector-memo equivalence: at panel width 8 the batch engines replay
+# the detector bits of (bus, vector pair) keys another trial already
+# solved; at width 1 every pattern runs through the scalar solver and
+# no memo is attached. Which trial solves a shared key first depends on
+# thread scheduling, so the adaptive engine and the checkpointed
+# campaign must render byte-identical summaries across both widths at
+# 1 and 8 threads.
+for tool in adaptive_check campaign_resume; do
+    for run in w8_t1 w8_t8 w1_t1 w1_t8; do
+        width="${run%_t*}"; width="${width#w}"
+        threads="${run#*_t}"
+        SINT_PANEL_WIDTH="$width" SINT_THREADS="$threads" "target/release/$tool" \
+            "$tmp/memo_${tool}_${run}_ckpt.json" "$tmp/memo_${tool}_${run}.json"
+        if ! cmp "$tmp/memo_${tool}_w8_t1.json" "$tmp/memo_${tool}_${run}.json"; then
+            echo "verify: FAIL — $tool summary at width $width, $threads threads differs" >&2
+            exit 1
+        fi
+    done
+done
+echo "detector memo: summaries byte-identical memoised vs scalar at 1 and 8 threads"
+
 echo "verify: OK"
