@@ -16,19 +16,22 @@
 //! with code 2 unless the adaptive run's campaign-wide detected set
 //! equals the oracle's — the equivalence gate of DESIGN.md §13. The
 //! summary JSON is byte-identical to an uninterrupted run at any
-//! `SINT_THREADS`, and at any `SINT_PANEL_WIDTH` (width 1 runs the
-//! scalar, memo-free oracle path; the default width shares a detector
-//! memo across the batch).
+//! `SINT_THREADS`.
+//!
+//! It also gates the detector memo (DESIGN.md §14): the default panel
+//! width shares one memo across the batch, so the tool re-runs the
+//! batch uninterrupted at panel width 1 — the scalar, memo-free path —
+//! and exits with code 2 unless that summary is byte-identical too.
 //!
 //! ```text
 //! adaptive_check <checkpoint.json> <summary.json> [--halt-after N]
 //! ```
 //!
 //! Exit codes: 0 = campaign complete and equivalent, 2 = usage/IO
-//! error or equivalence failure, 3 = halted deliberately at the
+//! error or equivalence failure (oracle or memo), 3 = halted deliberately at the
 //! `--halt-after` threshold.
 
-use sint_bench::{panel_width_from_env, threads_from_env};
+use sint_bench::threads_from_env;
 use sint_core::adaptive::AdaptiveCheckpoint;
 use sint_core::campaign::{Campaign, RetryPolicy, Trial};
 use sint_core::session::{ObservationMethod, SessionConfig};
@@ -114,10 +117,7 @@ fn run() -> Result<ExitCode, String> {
     // of the tool's output.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let mut campaign = campaign();
-    if let Some(width) = panel_width_from_env() {
-        campaign = campaign.panel_width(width);
-    }
+    let campaign = campaign();
     let batch = trials();
     let checkpoint_path = args.checkpoint_path.clone();
     let halt_after = args.halt_after;
@@ -156,6 +156,12 @@ fn run() -> Result<ExitCode, String> {
     // attributed-exhaustive oracle's exactly. The hook stays silenced —
     // the oracle re-runs the sabotaged trials too.
     let oracle = campaign.run_attributed(&batch, threads);
+    let scalar_summary = campaign
+        .clone()
+        .panel_width(1)
+        .run_adaptive_checkpointed(&batch, threads, &mut AdaptiveCheckpoint::new(WIRES), |_| {})
+        .to_json()
+        .render_pretty();
     let _ = std::panic::take_hook();
     if run.detected != oracle.detected {
         eprintln!(
@@ -170,6 +176,11 @@ fn run() -> Result<ExitCode, String> {
         run.total_tck,
         oracle.total_tck
     );
+    if scalar_summary != summary {
+        eprintln!("adaptive_check: MEMO EQUIVALENCE FAILURE: width-1 summary differs");
+        return Ok(ExitCode::from(2));
+    }
+    eprintln!("adaptive_check: memoised summary byte-identical to the scalar, memo-free run");
     Ok(ExitCode::SUCCESS)
 }
 

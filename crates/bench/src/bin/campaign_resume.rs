@@ -8,10 +8,15 @@
 //! as soon as N trials are checkpointed — simulating a kill — and a
 //! later invocation without the flag resumes from the snapshot,
 //! re-running only unfinished trials. The final summary JSON is
-//! byte-identical to an uninterrupted run at any `SINT_THREADS`, and
-//! outside deadline mode at any `SINT_PANEL_WIDTH` (width 1 runs the
-//! scalar, memo-free oracle path; the default width shares a detector
-//! memo across the batch).
+//! byte-identical to an uninterrupted run at any `SINT_THREADS`.
+//!
+//! Outside deadline mode the tool also gates the detector memo
+//! (DESIGN.md §14): the default panel width shares one memo across the
+//! batch, so it re-runs the batch uninterrupted at panel width 1 — the
+//! scalar, memo-free path — and exits with code 4 unless that summary
+//! is byte-identical too. (Deadline sheds report the first cancellation
+//! poll, which a batched flush makes before its memo lookup, at step 0,
+//! and the scalar path makes inside the solver, at step 32.)
 //!
 //! With `--deadline-ms N` the campaign runs deadline-bounded: every
 //! trial gets an `N`-millisecond budget and one control is swapped for
@@ -20,9 +25,7 @@
 //! cancellation poll runs, so every solver-bound trial sheds at the
 //! same deterministic step — which makes the kill/resume byte-identity
 //! contract checkable for shed records too: the checkpoint must
-//! round-trip `TrialShed` entries exactly. (The first poll of a batched
-//! flush comes before its detector-memo lookup and reports step 0; the
-//! scalar path at width 1 first polls inside the solver, at step 32.)
+//! round-trip `TrialShed` entries exactly.
 //!
 //! ```text
 //! campaign_resume <checkpoint.json> <summary.json> \
@@ -30,9 +33,10 @@
 //! ```
 //!
 //! Exit codes: 0 = campaign complete, 2 = usage/IO error, 3 = halted
-//! deliberately at the `--halt-after` threshold.
+//! deliberately at the `--halt-after` threshold, 4 = the width-1
+//! summary differs.
 
-use sint_bench::{panel_width_from_env, threads_from_env};
+use sint_bench::threads_from_env;
 use sint_core::campaign::{Campaign, RetryPolicy, Trial};
 use sint_core::checkpoint::CampaignCheckpoint;
 use sint_interconnect::Defect;
@@ -126,9 +130,6 @@ fn run() -> Result<ExitCode, String> {
     if let Some(ms) = args.deadline_ms {
         campaign = campaign.deadline(std::time::Duration::from_millis(ms));
     }
-    if let Some(width) = panel_width_from_env() {
-        campaign = campaign.panel_width(width);
-    }
     let batch = trials(args.deadline_ms.is_some());
     let checkpoint_path = args.checkpoint_path.clone();
     let halt_after = args.halt_after;
@@ -150,6 +151,14 @@ fn run() -> Result<ExitCode, String> {
             }
         }
     });
+    let scalar_summary = args.deadline_ms.is_none().then(|| {
+        campaign
+            .clone()
+            .panel_width(1)
+            .run_checkpointed(&batch, threads, &mut CampaignCheckpoint::new(), SNAPSHOT_EVERY, |_| {})
+            .to_json()
+            .render_pretty()
+    });
     let _ = std::panic::take_hook();
 
     let summary = run.to_json().render_pretty();
@@ -165,6 +174,13 @@ fn run() -> Result<ExitCode, String> {
         threads,
         run.stats
     );
+    if let Some(scalar_summary) = scalar_summary {
+        if scalar_summary != summary {
+            eprintln!("campaign_resume: MEMO EQUIVALENCE FAILURE: width-1 summary differs");
+            return Ok(ExitCode::from(4));
+        }
+        eprintln!("campaign_resume: memoised summary byte-identical to the scalar, memo-free run");
+    }
     Ok(ExitCode::SUCCESS)
 }
 

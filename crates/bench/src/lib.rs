@@ -73,18 +73,6 @@ pub fn threads_from_env() -> usize {
         .unwrap_or_else(|| sint_runtime::pool::Pool::host().threads())
 }
 
-/// Pattern-batching width for campaign bins: `SINT_PANEL_WIDTH` when
-/// set (and a positive number), else `None` — the SoC default. Width 1
-/// is the scalar, memo-free oracle path (see
-/// `sint_core::campaign::Campaign::panel_width`).
-#[must_use]
-pub fn panel_width_from_env() -> Option<usize> {
-    std::env::var("SINT_PANEL_WIDTH")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 /// Prints a named machine-readable artifact as a delimited JSON block,
 /// so a human scanning the log and a script scraping it both find it.
 /// When `SINT_ARTIFACT_DIR` is set, the artifact is additionally

@@ -826,7 +826,7 @@ impl Campaign {
     /// [`TrialOutcome::Failed`] plus a [`TrialFailure`] record — one
     /// broken trial never takes down its siblings or the batch.
     ///
-    /// The trials share one [`DetectorMemo`] for the duration of the
+    /// The trials share one detector memo for the duration of the
     /// call, so a vector pair is solved once per distinct bus.
     #[must_use]
     pub fn run_parallel(&self, trials: &[Trial], threads: usize) -> CampaignRun {

@@ -29,8 +29,6 @@
 //! * [`campaign`] / [`checkpoint`] — panic-isolated defect-injection
 //!   campaigns with bounded retry, periodic snapshots and
 //!   byte-identical resume.
-//! * [`memo`] — the campaign-scoped detector-response memo: each
-//!   (bus, vector pair) is solved once per batch-engine call.
 //!
 //! # Example
 //!
@@ -58,7 +56,7 @@ pub mod error;
 pub mod infra;
 pub mod instructions;
 pub mod mafm;
-pub mod memo;
+mod memo;
 pub mod nd;
 pub mod obsc;
 pub mod pgbsc;

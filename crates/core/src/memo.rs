@@ -20,8 +20,8 @@
 //!   a 64-bit fingerprint finds the candidate, and `Bus: PartialEq`
 //!   (plus the detector configuration) must then match exactly. On a
 //!   fingerprint collision the SoC runs memo-free, so a hash collision
-//!   can never forge a verdict. Pair keys are stored in full and
-//!   compared on every hit for the same reason.
+//!   can never forge a verdict. Pair keys are stored in full as map
+//!   keys for the same reason.
 //! * **Bounded.** The memo charges every slot and entry against
 //!   [`MEMO_BYTE_BUDGET`] and stops inserting once it is spent; a full
 //!   memo still serves hits.
@@ -39,14 +39,10 @@ use sint_interconnect::params::Bus;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// The memo's fixed size cap, in bytes of packed keys, verdict bits,
-/// index entries and per-slot bus copies. Once spent, the memo serves
+/// The memo's fixed size cap, in bytes of map entries, packed keys,
+/// verdict bits and per-slot bus copies. Once spent, the memo serves
 /// hits but takes no new slots or entries.
-pub const MEMO_BYTE_BUDGET: usize = 4 << 20;
-
-/// Bytes charged per entry for the hash index on top of the packed
-/// words (hash key, entry number, control byte, load-factor slack).
-const INDEX_BYTES_PER_ENTRY: usize = 24;
+const MEMO_BYTE_BUDGET: usize = 4 << 20;
 
 /// Packed words per `wires`-bit mask.
 fn mask_words(wires: usize) -> usize {
@@ -71,7 +67,7 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// One pattern's drive vectors, packed: wire `w` high sets bit `w` of
 /// the `before` words, then of the `after` words.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PairKey(Vec<u64>);
 
 impl PairKey {
@@ -88,10 +84,6 @@ impl PairKey {
             }
         }
         PairKey(packed)
-    }
-
-    fn hash(&self) -> u64 {
-        fnv(self.0.iter().copied())
     }
 }
 
@@ -159,7 +151,7 @@ impl MemoSlot {
 /// A shared, byte-bounded memo of per-pattern detector responses; see
 /// the [module documentation](self). Cloning shares the same memo.
 #[derive(Clone, Default)]
-pub struct DetectorMemo {
+pub(crate) struct DetectorMemo {
     inner: Arc<Mutex<MemoInner>>,
 }
 
@@ -178,7 +170,7 @@ struct MemoInner {
     owners: Vec<SlotOwner>,
     /// Configuration fingerprint → slot.
     by_fingerprint: HashMap<u64, u32>,
-    tables: HashMap<TableId, Table>,
+    tables: HashMap<TableId, HashMap<PairKey, DetectorBits>>,
     bytes: usize,
     entries: usize,
 }
@@ -190,20 +182,10 @@ struct SlotOwner {
     sd: SdWindow,
 }
 
-/// One `(slot, dt, settle)` table: fixed-stride entries of a packed
-/// [`PairKey`] followed by its [`DetectorBits`], in one arena.
-#[derive(Debug, Default)]
-struct Table {
-    /// Pair-key hash → entry number. A second key with the same hash
-    /// is never inserted, so it always misses.
-    index: HashMap<u64, u32>,
-    arena: Vec<u64>,
-}
-
 impl DetectorMemo {
     /// An empty memo.
     #[must_use]
-    pub fn new() -> DetectorMemo {
+    pub(crate) fn new() -> DetectorMemo {
         DetectorMemo::default()
     }
 
@@ -270,44 +252,34 @@ impl DetectorMemo {
         let Some(table) = inner.tables.get(&table) else {
             return vec![None; keys.len()];
         };
-        keys.iter()
-            .map(|key| {
-                let &entry = table.index.get(&key.hash())?;
-                let stride = 5 * key.0.len() / 2;
-                let at = entry as usize * stride;
-                let (stored_key, bits) = table.arena[at..at + stride].split_at(key.0.len());
-                (stored_key == key.0.as_slice()).then(|| DetectorBits(bits.to_vec()))
-            })
-            .collect()
+        keys.iter().map(|key| table.get(key).cloned()).collect()
     }
 
-    /// Stores freshly solved bits. Keys already present, keys whose
-    /// hash is taken by another key, and anything past the budget are
-    /// skipped.
+    /// Stores freshly solved bits. Keys already present and anything
+    /// past the budget are skipped.
     pub(crate) fn insert(&self, table: TableId, fresh: &[(PairKey, DetectorBits)]) {
         let mut inner = self.lock();
         let inner = &mut *inner;
         for (key, bits) in fresh {
-            let cost = 8 * (key.0.len() + bits.0.len()) + INDEX_BYTES_PER_ENTRY;
+            let cost = entry_bytes(key, bits);
             if inner.bytes + cost > MEMO_BYTE_BUDGET {
                 return;
             }
             let t = inner.tables.entry(table).or_default();
-            let hash = key.hash();
-            if t.index.contains_key(&hash) {
+            if t.contains_key(key) {
                 continue;
             }
-            let stride = key.0.len() + bits.0.len();
-            let Ok(entry) = u32::try_from(t.arena.len() / stride) else {
-                return;
-            };
-            t.arena.extend_from_slice(&key.0);
-            t.arena.extend_from_slice(&bits.0);
-            t.index.insert(hash, entry);
+            t.insert(key.clone(), bits.clone());
             inner.bytes += cost;
             inner.entries += 1;
         }
     }
+}
+
+/// Bytes charged for one stored pattern: the map entry plus the packed
+/// key and verdict words it owns.
+fn entry_bytes(key: &PairKey, bits: &DetectorBits) -> usize {
+    std::mem::size_of::<(PairKey, DetectorBits)>() + 8 * (key.0.len() + bits.0.len())
 }
 
 /// Approximate heap footprint of a bus copy: five per-segment element
@@ -322,7 +294,13 @@ fn bus_bytes(bus: &Bus) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mafm::{CoverageLedger, IntegrityFault};
+    use crate::obsc::Obsc;
+    use crate::session::{ObservationMethod, SessionConfig};
+    use crate::soc::{Soc, SocBuilder};
     use sint_interconnect::params::BusParams;
+    use sint_interconnect::Defect;
+    use sint_runtime::prop::{gen, Runner};
 
     fn levels(wires: usize, seed: u64) -> Vec<DriveLevel> {
         (0..wires)
@@ -409,32 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_hash_collision_never_forges_a_hit() {
-        let (bus, nd, sd) = config(4);
-        let memo = DetectorMemo::new();
-        let table = memo.slot_for(&bus, &nd, &sd).unwrap().table(10e-12, 2e-9);
-        let key = PairKey::pack(&VectorPair::new(levels(4, 1), levels(4, 2)));
-        let mut bits = DetectorBits::new(4);
-        bits.set(0, WireVerdict { nd: true, sd: true, high: true });
-        memo.insert(table, &[(key.clone(), bits)]);
-        // Forge a different key into the slot the real key's hash owns.
-        let forged = PairKey(vec![!key.0[0], key.0[1]]);
-        {
-            let mut inner = memo.lock();
-            let t = inner.tables.get_mut(&table).unwrap();
-            let entry = t.index.remove(&key.hash()).unwrap();
-            t.index.insert(forged.hash(), entry);
-            t.index.insert(key.hash(), entry);
-        }
-        // The forged key's hash points at the real key's entry: the
-        // full-key comparison turns it into a miss.
-        assert_eq!(memo.lookup(table, std::slice::from_ref(&forged)), vec![None]);
-        // And a key whose hash is taken is never inserted.
-        memo.insert(table, &[(forged.clone(), DetectorBits::new(4))]);
-        assert_eq!(memo.lookup(table, &[forged]), vec![None]);
-    }
-
-    #[test]
     fn full_memo_stops_inserting_but_keeps_serving_hits() {
         let (bus, nd, sd) = config(64);
         let memo = DetectorMemo::new();
@@ -442,7 +394,7 @@ mod tests {
         let table = slot.table(10e-12, 2e-9);
         let key = |i: u64| PairKey(vec![i, !i]);
         let bits = DetectorBits::new(64);
-        let per_entry = 8 * 5 + INDEX_BYTES_PER_ENTRY;
+        let per_entry = entry_bytes(&key(0), &bits);
         let capacity = (MEMO_BYTE_BUDGET - memo.bytes()) / per_entry;
         let fresh: Vec<_> = (0..capacity as u64 + 10).map(|i| (key(i), bits.clone())).collect();
         memo.insert(table, &fresh);
@@ -455,5 +407,158 @@ mod tests {
         let (fresh_bus, _, _) = config(8);
         assert_eq!(memo.slot_for(&fresh_bus, &nd, &sd), None);
         assert_eq!(memo.slot_for(&bus, &nd, &sd), Some(slot), "known buses keep their slot");
+    }
+
+    /// One session-level step a replay-equivalence case drives. Every
+    /// step applies its own pattern sequence, and CE toggles inside it:
+    /// low under SAMPLE/PRELOAD and EXTEST, high under G-SITEST. The
+    /// conventional (EXTEST, CE-low) schedule excites MA fault pairs the
+    /// sessions also apply with CE high, and it runs at whatever
+    /// `(dt, settle)` the SoC's previous session left (a fresh SoC's:
+    /// 2 ps, 2 ns) — so CE-low misses and CE-high hits meet in one table.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Session(SessionConfig),
+        Adaptive { cfg: SessionConfig, covered: Vec<(usize, IntegrityFault)>, high_first: bool },
+        Attributed(SessionConfig),
+        Conventional,
+    }
+
+    /// Runs one step and renders whatever it returned, errors included.
+    fn run_step(soc: &mut Soc, step: &Step) -> String {
+        match step {
+            Step::Session(cfg) => format!("{:?}", soc.run_integrity_test(cfg)),
+            Step::Adaptive { cfg, covered, high_first } => {
+                let mut ledger = CoverageLedger::new(soc.wires());
+                for &(victim, fault) in covered {
+                    ledger.record(victim, fault);
+                }
+                let order = if *high_first {
+                    [DriveLevel::High, DriveLevel::Low]
+                } else {
+                    [DriveLevel::Low, DriveLevel::High]
+                };
+                format!("{:?}", soc.run_adaptive_session(cfg, &ledger, order))
+            }
+            Step::Attributed(cfg) => format!("{:?}", soc.run_attributed_exhaustive(cfg)),
+            Step::Conventional => format!("{:?}", soc.run_conventional_generation()),
+        }
+    }
+
+    /// Every OBSC's full state — both detector flip-flops, CE, the scan
+    /// flip-flops and the parallel input — plus the observed-pattern
+    /// count.
+    fn obsc_states(soc: &mut Soc) -> Result<(Vec<Obsc>, usize), String> {
+        let wires = soc.wires();
+        let transients = soc.transients_run();
+        let device = soc.driver_mut().chain().device(0).map_err(|e| e.to_string())?;
+        let cells = (wires..2 * wires)
+            .map(|i| {
+                let cell = device.boundary().cell(i).map_err(|e| e.to_string())?;
+                cell.as_any().downcast_ref::<Obsc>().cloned().ok_or_else(|| format!("cell {i}"))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok((cells, transients))
+    }
+
+    #[test]
+    fn memoised_socs_latch_exactly_what_memo_free_socs_latch() {
+        // A SoC whose batched flushes replay detector bits from a memo
+        // that other SoCs already filled — some of its patterns hit, some
+        // miss — must leave every ND/SD flip-flop and parallel input
+        // exactly where a memo-free SoC leaves them, after every step of
+        // a random mix of sessions, dt/settle changes and CE toggles. A
+        // stranger SoC on a different bus shares the memo too and must
+        // never leak into it.
+        Runner::new("memo_replay_matches_solving").cases(10).run(
+            |rng| {
+                let width = gen::usize_in(rng, 2..7);
+                let defects = gen::vec_of(rng, 0..3, |rng| {
+                    let wire = gen::usize_in(rng, 0..width);
+                    match gen::usize_in(rng, 0..3) {
+                        0 => Defect::CouplingBoost { wire, factor: gen::f64_in(rng, 1.5..8.0) },
+                        1 => Defect::ResistiveOpen {
+                            wire,
+                            segment: gen::usize_in(rng, 0..2),
+                            extra_ohms: gen::f64_in(rng, 500.0..4000.0),
+                        },
+                        _ => Defect::WeakDriver { wire, factor: gen::f64_in(rng, 2.0..12.0) },
+                    }
+                });
+                let steps = gen::vec_of(rng, 2..6, |rng| {
+                    // Few timings, so steps meet in one table; (2 ps, 2 ns)
+                    // is also a fresh SoC's, where a leading conventional
+                    // step runs.
+                    let (dt, settle_time) = gen::one_of(
+                        rng,
+                        &[(10e-12, 2e-9), (2e-12, 2e-9), (10e-12, 0.3e-9), (20e-12, 1e-9)],
+                    );
+                    let method = gen::one_of(
+                        rng,
+                        &[
+                            ObservationMethod::Once,
+                            ObservationMethod::PerInitialValue,
+                            ObservationMethod::PerPattern,
+                        ],
+                    );
+                    let cfg = SessionConfig { method, settle_time, dt };
+                    match gen::usize_in(rng, 0..4) {
+                        0 => Step::Session(cfg),
+                        1 => Step::Adaptive {
+                            cfg,
+                            covered: gen::vec_of(rng, 0..4, |rng| {
+                                (gen::usize_in(rng, 0..width), gen::one_of(rng, &IntegrityFault::ALL))
+                            }),
+                            high_first: gen::bool_any(rng),
+                        },
+                        2 => Step::Attributed(cfg),
+                        _ => Step::Conventional,
+                    }
+                });
+                let prefill: Vec<bool> = steps.iter().map(|_| gen::bool_any(rng)).collect();
+                let panel_width = gen::usize_in(rng, 2..9);
+                (width, defects, steps, prefill, panel_width)
+            },
+            |(width, defects, steps, prefill, panel_width)| {
+                let build = |extra: Option<Defect>, memo: Option<&DetectorMemo>| {
+                    let mut b = SocBuilder::new(*width)
+                        .bus_params(BusParams::dsm_bus(*width).segments(2))
+                        .panel_width(*panel_width);
+                    for &d in defects.iter().chain(&extra) {
+                        b = b.defect(d);
+                    }
+                    if let Some(memo) = memo {
+                        b = b.detector_memo(memo.clone());
+                    }
+                    b.build().map_err(|e| e.to_string())
+                };
+                let memo = DetectorMemo::new();
+                // Pre-fill: a stranger bus runs everything, then a twin of
+                // the SoC under test runs a random subset of the steps.
+                let stranger = Defect::CouplingBoost { wire: 0, factor: 3.0 };
+                let mut other = build(Some(stranger), Some(&memo))?;
+                let mut twin = build(None, Some(&memo))?;
+                for (step, &fill) in steps.iter().zip(prefill) {
+                    run_step(&mut other, step);
+                    if fill {
+                        run_step(&mut twin, step);
+                    }
+                }
+                let mut memoised = build(None, Some(&memo))?;
+                let mut plain = build(None, None)?;
+                for step in steps {
+                    let got = run_step(&mut memoised, step);
+                    let want = run_step(&mut plain, step);
+                    if got != want {
+                        return Err(format!("{step:?}: {got} != {want}"));
+                    }
+                    let (got, want) = (obsc_states(&mut memoised)?, obsc_states(&mut plain)?);
+                    if got != want {
+                        return Err(format!("{step:?}: {got:?} != {want:?}"));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }

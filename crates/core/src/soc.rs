@@ -114,14 +114,11 @@ impl SocBuilder {
     /// Shares a batch-scoped [`DetectorMemo`]: batched flushes replay
     /// the stored detector bits of patterns any SoC on the memo has
     /// already solved on this exact bus, and solve only the rest. The
-    /// batch engines attach one memo per call; this hook is not part of
-    /// the public API and exists so the replay equivalence can be
-    /// property-tested from outside the crate. Ignored at panel width
+    /// batch engines attach one memo per call. Ignored at panel width
     /// 1 (the scalar oracle) and on [`SolverCache`]-derived solvers,
     /// whose waveforms agree with fresh factors only numerically.
-    #[doc(hidden)]
     #[must_use]
-    pub fn detector_memo(mut self, memo: DetectorMemo) -> Self {
+    pub(crate) fn detector_memo(mut self, memo: DetectorMemo) -> Self {
         self.memo = Some(memo);
         self
     }
@@ -538,9 +535,9 @@ impl Soc {
     }
 
     /// Patterns whose bus response has been observed so far — solved
-    /// or, on a [`DetectorMemo`] hit, replayed from stored detector
-    /// bits. Schedule-independent: the count is the same whichever
-    /// SoC of a batch solved a shared pattern first.
+    /// or, on a hit in a batch engine's detector memo, replayed from
+    /// stored detector bits. Schedule-independent: the count is the
+    /// same whichever SoC of a batch solved a shared pattern first.
     #[must_use]
     pub fn transients_run(&self) -> usize {
         self.transients_run

@@ -9,9 +9,7 @@ use sint::core::mafm::{
     classify_pair, classify_pair_masked, degraded_conventional_schedule, degraded_pgbsc_sequence,
     fault_pair, pgbsc_vector, CoverageLedger, CoverageReport, IntegrityFault,
 };
-use sint::core::memo::DetectorMemo;
 use sint::core::nd::{NdThresholds, NoiseDetector};
-use sint::core::obsc::Obsc;
 use sint::core::session::{ObservationMethod, SessionConfig};
 use sint::core::soc::SocBuilder;
 use sint::interconnect::defect::Defect;
@@ -401,154 +399,6 @@ fn adaptive_sessions_detect_exactly_the_exhaustive_attribution() {
             check_eq(skipped.dropped, 6 * healthy as u64)?;
             check(skipped.detected.is_empty(), || format!("{:?}", skipped.detected))?;
             check_eq(skipped.report.patterns_applied, 0)
-        },
-    );
-}
-
-// ---------------- Detector-response memo ----------------
-
-/// One session-level step a memo equivalence case drives. Every step
-/// applies its own pattern sequence, and CE toggles inside it: low
-/// under SAMPLE/PRELOAD and EXTEST, high under G-SITEST. The
-/// conventional (EXTEST, CE-low) schedule excites MA fault pairs the
-/// sessions also apply with CE high, and it runs at whatever
-/// `(dt, settle)` the SoC's previous session left (a fresh SoC's: 2 ps,
-/// 2 ns) — so CE-low misses and CE-high hits meet in one memo table.
-#[derive(Debug, Clone)]
-enum MemoStep {
-    Session(SessionConfig),
-    Adaptive { cfg: SessionConfig, covered: Vec<(usize, IntegrityFault)>, high_first: bool },
-    Attributed(SessionConfig),
-    Conventional,
-}
-
-/// Runs one step and renders whatever it returned, errors included.
-fn run_memo_step(soc: &mut sint::core::soc::Soc, step: &MemoStep) -> String {
-    match step {
-        MemoStep::Session(cfg) => format!("{:?}", soc.run_integrity_test(cfg)),
-        MemoStep::Adaptive { cfg, covered, high_first } => {
-            let mut ledger = CoverageLedger::new(soc.wires());
-            for &(victim, fault) in covered {
-                ledger.record(victim, fault);
-            }
-            let order = if *high_first {
-                [DriveLevel::High, DriveLevel::Low]
-            } else {
-                [DriveLevel::Low, DriveLevel::High]
-            };
-            format!("{:?}", soc.run_adaptive_session(cfg, &ledger, order))
-        }
-        MemoStep::Attributed(cfg) => format!("{:?}", soc.run_attributed_exhaustive(cfg)),
-        MemoStep::Conventional => format!("{:?}", soc.run_conventional_generation()),
-    }
-}
-
-/// Every OBSC's full state — both detector flip-flops, CE, the scan
-/// flip-flops and the parallel input — plus the observed-pattern count.
-fn obsc_states(soc: &mut sint::core::soc::Soc) -> Result<(Vec<Obsc>, usize), String> {
-    let wires = soc.wires();
-    let transients = soc.transients_run();
-    let device = soc.driver_mut().chain().device(0).map_err(|e| e.to_string())?;
-    let cells = (wires..2 * wires)
-        .map(|i| {
-            let cell = device.boundary().cell(i).map_err(|e| e.to_string())?;
-            cell.as_any().downcast_ref::<Obsc>().cloned().ok_or_else(|| format!("cell {i}"))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok((cells, transients))
-}
-
-#[test]
-fn memoised_socs_latch_exactly_what_memo_free_socs_latch() {
-    // A SoC whose batched flushes replay detector bits from a memo that
-    // other SoCs already filled — some of its patterns hit, some miss —
-    // must leave every ND/SD flip-flop and parallel input exactly where
-    // a memo-free SoC leaves them, after every step of a random mix of
-    // sessions, dt/settle changes and CE toggles. A stranger SoC on a
-    // different bus shares the memo too and must never leak into it.
-    Runner::new("memo_replay_matches_solving").cases(10).run(
-        |rng| {
-            let width = gen::usize_in(rng, 2..7);
-            let defects = gen::vec_of(rng, 0..3, |rng| {
-                let wire = gen::usize_in(rng, 0..width);
-                match gen::usize_in(rng, 0..3) {
-                    0 => Defect::CouplingBoost { wire, factor: gen::f64_in(rng, 1.5..8.0) },
-                    1 => Defect::ResistiveOpen {
-                        wire,
-                        segment: gen::usize_in(rng, 0..2),
-                        extra_ohms: gen::f64_in(rng, 500.0..4000.0),
-                    },
-                    _ => Defect::WeakDriver { wire, factor: gen::f64_in(rng, 2.0..12.0) },
-                }
-            });
-            let steps = gen::vec_of(rng, 2..6, |rng| {
-                // Few timings, so steps meet in one table; (2 ps, 2 ns) is
-                // also a fresh SoC's, where a leading conventional step
-                // runs.
-                let (dt, settle_time) = gen::one_of(
-                    rng,
-                    &[(10e-12, 2e-9), (2e-12, 2e-9), (10e-12, 0.3e-9), (20e-12, 1e-9)],
-                );
-                let method = gen::one_of(
-                    rng,
-                    &[
-                        ObservationMethod::Once,
-                        ObservationMethod::PerInitialValue,
-                        ObservationMethod::PerPattern,
-                    ],
-                );
-                let cfg = SessionConfig { method, settle_time, dt };
-                match gen::usize_in(rng, 0..4) {
-                    0 => MemoStep::Session(cfg),
-                    1 => MemoStep::Adaptive {
-                        cfg,
-                        covered: gen::vec_of(rng, 0..4, |rng| {
-                            (gen::usize_in(rng, 0..width), gen::one_of(rng, &IntegrityFault::ALL))
-                        }),
-                        high_first: gen::bool_any(rng),
-                    },
-                    2 => MemoStep::Attributed(cfg),
-                    _ => MemoStep::Conventional,
-                }
-            });
-            let prefill: Vec<bool> = steps.iter().map(|_| gen::bool_any(rng)).collect();
-            let panel_width = gen::usize_in(rng, 2..9);
-            (width, defects, steps, prefill, panel_width)
-        },
-        |(width, defects, steps, prefill, panel_width)| {
-            let build = |extra: Option<Defect>, memo: Option<&DetectorMemo>| {
-                let mut b = SocBuilder::new(*width)
-                    .bus_params(BusParams::dsm_bus(*width).segments(2))
-                    .panel_width(*panel_width);
-                for &d in defects.iter().chain(&extra) {
-                    b = b.defect(d);
-                }
-                if let Some(memo) = memo {
-                    b = b.detector_memo(memo.clone());
-                }
-                b.build().map_err(|e| e.to_string())
-            };
-            let memo = DetectorMemo::new();
-            // Pre-fill: a stranger bus runs everything, then a twin of
-            // the SoC under test runs a random subset of the steps.
-            let stranger = Defect::CouplingBoost { wire: 0, factor: 3.0 };
-            let mut other = build(Some(stranger), Some(&memo))?;
-            let mut twin = build(None, Some(&memo))?;
-            for (step, &fill) in steps.iter().zip(prefill) {
-                run_memo_step(&mut other, step);
-                if fill {
-                    run_memo_step(&mut twin, step);
-                }
-            }
-            let mut memoised = build(None, Some(&memo))?;
-            let mut plain = build(None, None)?;
-            for step in steps {
-                let got = run_memo_step(&mut memoised, step);
-                let want = run_memo_step(&mut plain, step);
-                check(got == want, || format!("{step:?}: {got} != {want}"))?;
-                check_eq(obsc_states(&mut memoised)?, obsc_states(&mut plain)?)?;
-            }
-            Ok(())
         },
     );
 }
