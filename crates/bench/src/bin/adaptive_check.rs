@@ -27,9 +27,11 @@
 //! adaptive_check <checkpoint.json> <summary.json> [--halt-after N]
 //! ```
 //!
-//! Exit codes: 0 = campaign complete and equivalent, 2 = usage/IO
-//! error or equivalence failure (oracle or memo), 3 = halted deliberately at the
-//! `--halt-after` threshold.
+//! Exit codes: 0 = campaign complete and equivalent, 1 = the checkpoint
+//! parses but does not fit this batch (wrong ledger width, or entries
+//! that are not the prefix its round counter claims), 2 = usage/IO
+//! error or equivalence failure (oracle or memo), 3 = halted
+//! deliberately at the `--halt-after` threshold.
 
 use sint_bench::threads_from_env;
 use sint_core::adaptive::AdaptiveCheckpoint;
@@ -139,6 +141,16 @@ fn run() -> Result<ExitCode, String> {
             }
         }
     });
+    let run = match run {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!(
+                "adaptive_check: checkpoint {} does not fit this batch: {e}",
+                args.checkpoint_path
+            );
+            return Ok(ExitCode::from(1));
+        }
+    };
 
     let summary = run.to_json().render_pretty();
     sint_runtime::durable::AtomicFile::write(
@@ -156,12 +168,8 @@ fn run() -> Result<ExitCode, String> {
     // attributed-exhaustive oracle's exactly. The hook stays silenced —
     // the oracle re-runs the sabotaged trials too.
     let oracle = campaign.run_attributed(&batch, threads);
-    let scalar_summary = campaign
-        .clone()
-        .panel_width(1)
-        .run_adaptive_checkpointed(&batch, threads, &mut AdaptiveCheckpoint::new(WIRES), |_| {})
-        .to_json()
-        .render_pretty();
+    let scalar_summary =
+        campaign.clone().panel_width(1).run_adaptive(&batch, threads).to_json().render_pretty();
     let _ = std::panic::take_hook();
     if run.detected != oracle.detected {
         eprintln!(

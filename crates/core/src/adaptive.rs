@@ -20,19 +20,16 @@
 //! mutable ledger.
 
 use crate::campaign::{
-    AttemptOutcome, Campaign, CampaignStats, ShedReason, Trial, TrialAbort, TrialFailure,
-    TrialOutcome, TrialSabotage, TrialShed,
+    AttemptOutcome, Campaign, CampaignStats, Session, Trial, TrialAttempt, TrialFailure,
+    TrialOutcome, TrialShed,
 };
-use crate::checkpoint::{CheckpointEntry, CheckpointError};
-use crate::error::CoreError;
+use crate::checkpoint::{parse_document, CheckpointEntry, CheckpointError};
 use crate::mafm::{CoverageLedger, IntegrityFault};
 use crate::memo::DetectorMemo;
-use crate::soc::AdaptiveSessionOutcome;
 use sint_interconnect::drive::DriveLevel;
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
-use sint_runtime::pool::{panic_message, Pool};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use sint_runtime::pool::Pool;
 
 /// Snapshot format version emitted by [`AdaptiveCheckpoint::to_json`].
 const ADAPTIVE_CHECKPOINT_VERSION: u64 = 1;
@@ -46,15 +43,11 @@ pub struct AdaptiveConfig {
     /// Also the checkpoint cadence of
     /// [`Campaign::run_adaptive_checkpointed`].
     pub round: usize,
-    /// Whether [`FaultPriority`] reorders the two initial-value halves
-    /// (most recently failing first). Disabled, halves always run
-    /// `[Low, High]`.
-    pub reorder: bool,
 }
 
 impl Default for AdaptiveConfig {
     fn default() -> AdaptiveConfig {
-        AdaptiveConfig { round: 8, reorder: true }
+        AdaptiveConfig { round: 8 }
     }
 }
 
@@ -202,22 +195,14 @@ fn detected_to_json(pairs: &[(usize, IntegrityFault)]) -> Json {
 pub struct AdaptiveCheckpoint {
     rounds_done: usize,
     entries: Vec<CheckpointEntry>,
-    ledger: CoverageLedger,
-    priority: FaultPriority,
-    total_tck: u64,
+    fold: TrialFold,
 }
 
 impl AdaptiveCheckpoint {
     /// An empty checkpoint for a `wires`-wide campaign.
     #[must_use]
     pub fn new(wires: usize) -> AdaptiveCheckpoint {
-        AdaptiveCheckpoint {
-            rounds_done: 0,
-            entries: Vec::new(),
-            ledger: CoverageLedger::new(wires),
-            priority: FaultPriority::new(),
-            total_tck: 0,
-        }
+        AdaptiveCheckpoint { rounds_done: 0, entries: Vec::new(), fold: TrialFold::new(wires) }
     }
 
     /// Rounds fully folded into this snapshot.
@@ -235,13 +220,18 @@ impl AdaptiveCheckpoint {
     /// The campaign-wide coverage ledger as of the last round boundary.
     #[must_use]
     pub fn ledger(&self) -> &CoverageLedger {
-        &self.ledger
+        &self.fold.ledger
     }
 
     /// TCKs spent by every session folded so far.
     #[must_use]
     pub fn total_tck(&self) -> u64 {
-        self.total_tck
+        self.fold.total_tck
+    }
+
+    /// The fold state (ledger, priority clock, TCK tally).
+    pub(crate) fn fold(&self) -> &TrialFold {
+        &self.fold
     }
 
     /// Decodes a snapshot produced by [`AdaptiveCheckpoint::to_json`].
@@ -252,7 +242,7 @@ impl AdaptiveCheckpoint {
     /// [`CheckpointError::Schema`] for anything that is not a version-1
     /// adaptive snapshot.
     pub fn parse(text: &str) -> Result<AdaptiveCheckpoint, CheckpointError> {
-        let root = Json::parse(text).map_err(CheckpointError::Json)?;
+        let root = parse_document(text)?;
         match root.get("version").and_then(Json::as_u64) {
             Some(ADAPTIVE_CHECKPOINT_VERSION) => {}
             Some(v) => {
@@ -300,13 +290,40 @@ impl AdaptiveCheckpoint {
         if !entries.windows(2).all(|w| w[0].index < w[1].index) {
             return Err(schema("entries must be strictly index-ordered"));
         }
-        Ok(AdaptiveCheckpoint {
-            rounds_done,
-            entries,
-            ledger,
-            priority: FaultPriority { last_hit, clock },
-            total_tck,
-        })
+        let priority = FaultPriority { last_hit, clock };
+        let fold = TrialFold { ledger, priority, total_tck };
+        Ok(AdaptiveCheckpoint { rounds_done, entries, fold })
+    }
+
+    /// Checks that the snapshot fits a batch of `trials` trials run
+    /// `round` at a time on a `wires`-wide bus: a ledger of that
+    /// width, and exactly the entries its round counter claims, as a
+    /// dense index-and-seed prefix of the batch.
+    fn check_layout(
+        &self,
+        wires: usize,
+        round: usize,
+        trials: usize,
+    ) -> Result<(), CheckpointError> {
+        if self.fold.ledger.wires() != wires {
+            return Err(schema(format!(
+                "ledger tracks {} wires but the campaign has {wires}",
+                self.fold.ledger.wires()
+            )));
+        }
+        let done = self.rounds_done.min(trials.div_ceil(round));
+        let expected = (done * round).min(trials);
+        if self.entries.len() != expected {
+            return Err(schema(format!(
+                "{} rounds of {round} over {trials} trials need {expected} entries, found {}",
+                self.rounds_done,
+                self.entries.len()
+            )));
+        }
+        if self.entries.iter().enumerate().any(|(i, e)| e.index != i || e.seed != i as u64) {
+            return Err(schema("entries are not a dense prefix of the batch"));
+        }
+        Ok(())
     }
 
     /// Persists the snapshot crash-consistently (staged, fsynced,
@@ -326,9 +343,9 @@ impl ToJson for AdaptiveCheckpoint {
         Json::obj([
             ("version", ADAPTIVE_CHECKPOINT_VERSION.to_json()),
             ("rounds_done", self.rounds_done.to_json()),
-            ("total_tck", self.total_tck.to_json()),
-            ("ledger", self.ledger.to_json()),
-            ("priority", self.priority.to_json()),
+            ("total_tck", self.fold.total_tck.to_json()),
+            ("ledger", self.fold.ledger.to_json()),
+            ("priority", self.fold.priority.to_json()),
             ("entries", Json::Array(self.entries.iter().map(ToJson::to_json).collect())),
         ])
     }
@@ -338,29 +355,99 @@ fn schema(reason: impl Into<String>) -> CheckpointError {
     CheckpointError::Schema { reason: reason.into() }
 }
 
-/// What one successful adaptive attempt contributes to campaign state —
-/// the fold half of [`Campaign::run_adaptive_trial_isolated`]'s return
-/// value, handed to callers that keep their own ledger.
+/// What one verdict contributes to campaign state, carried by
+/// [`TrialAttempt::delta`] and folded in by [`TrialFold::fold`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdaptiveDelta {
-    /// Freshly detected `(victim wire, fault)` pairs — record them into
+    /// Freshly detected `(victim wire, fault)` pairs — recorded into
     /// the campaign ledger so later trials can drop them.
     pub detected: Vec<(usize, IntegrityFault)>,
     /// Pattern halves skipped because their pairs were already covered.
     pub dropped: u64,
     /// Binary-search escalation passes the session had to run.
     pub escalations: u64,
+    /// TCKs the session spent.
+    pub tck: u64,
 }
 
-/// What one adaptive trial produced, before folding into the campaign
-/// state.
-#[derive(Debug, Clone)]
-struct AdaptiveTrialReport {
-    outcome: TrialOutcome,
-    detected: Vec<(usize, IntegrityFault)>,
-    dropped: u64,
-    escalations: u64,
-    tck: u64,
+/// The campaign-wide state every finished trial folds into: the
+/// coverage ledger, the [`FaultPriority`] clock that orders the next
+/// trial's halves, and the TCK tally. The rounds engine, the serial
+/// streaming engine and the fleet supervisor all fold through it, so a
+/// trial result becomes a [`CheckpointEntry`] in exactly one place.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrialFold {
+    ledger: CoverageLedger,
+    priority: FaultPriority,
+    total_tck: u64,
+}
+
+impl TrialFold {
+    /// A fresh fold for a `wires`-wide campaign: nothing detected yet.
+    #[must_use]
+    pub fn new(wires: usize) -> TrialFold {
+        let ledger = CoverageLedger::new(wires);
+        TrialFold { ledger, priority: FaultPriority::new(), total_tck: 0 }
+    }
+
+    /// The pairs detected so far.
+    #[must_use]
+    pub fn ledger(&self) -> &CoverageLedger {
+        &self.ledger
+    }
+
+    /// The half order the next trial runs
+    /// ([`FaultPriority::half_order`]).
+    #[must_use]
+    pub fn half_order(&self) -> [DriveLevel; 2] {
+        self.priority.half_order()
+    }
+
+    /// The adaptive session against this state.
+    pub(crate) fn adaptive(&self) -> Session<'_> {
+        Session::Adaptive { ledger: &self.ledger, half_order: self.half_order() }
+    }
+
+    /// Folds trial `index`'s result in — a verdict's detections into
+    /// the ledger and priority clock, its TCKs into the tally — and
+    /// returns the trial's checkpoint entry. A trial whose attempt
+    /// ended in an infrastructure fault or error is recorded as
+    /// [`TrialOutcome::Failed`] after `attempt.attempts` attempts.
+    pub fn fold(&mut self, index: usize, attempt: TrialAttempt) -> CheckpointEntry {
+        let seed = index as u64;
+        let mut entry = CheckpointEntry {
+            index,
+            seed,
+            outcome: TrialOutcome::Failed,
+            failure: None,
+            shed: None,
+            dropped: 0,
+            escalation: 0,
+        };
+        match attempt.outcome {
+            AttemptOutcome::Verdict(outcome) => {
+                let delta = attempt.delta;
+                entry.outcome = outcome;
+                entry.dropped = delta.dropped;
+                entry.escalation = delta.escalations;
+                self.total_tck += delta.tck;
+                for (victim, fault) in delta.detected {
+                    if self.ledger.record(victim, fault) {
+                        self.priority.record(fault);
+                    }
+                }
+            }
+            AttemptOutcome::Shed(reason) => {
+                entry.outcome = TrialOutcome::Shed;
+                entry.shed = Some(TrialShed { index, seed, reason });
+            }
+            AttemptOutcome::Infrastructure { error } | AttemptOutcome::Error { error } => {
+                let attempts = attempt.attempts;
+                entry.failure = Some(TrialFailure { index, seed, attempts, error });
+            }
+        }
+        entry
+    }
 }
 
 impl Campaign {
@@ -371,7 +458,8 @@ impl Campaign {
     #[must_use]
     pub fn run_adaptive(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
         let mut checkpoint = AdaptiveCheckpoint::new(self.wires());
-        self.run_adaptive_checkpointed(trials, threads, &mut checkpoint, |_| {})
+        let round = self.adaptive_config().round;
+        self.run_rounds(trials, threads, round, TrialFold::adaptive, &mut checkpoint, |_| {})
     }
 
     /// The adaptive engine with round-boundary checkpointing and
@@ -383,59 +471,22 @@ impl Campaign {
     /// would have and the final summary is byte-identical. `sink` is
     /// invoked with the updated checkpoint after every round.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `checkpoint` does not hold exactly the entries its
-    /// round counter claims for this batch (a snapshot from a different
-    /// batch layout).
-    #[must_use]
+    /// [`CheckpointError::Schema`], before any trial runs, when
+    /// `checkpoint` does not fit this batch: a ledger of another width,
+    /// or entries that are not exactly the dense prefix its round
+    /// counter claims (a snapshot from a different batch layout).
     pub fn run_adaptive_checkpointed(
         &self,
         trials: &[Trial],
         threads: usize,
         checkpoint: &mut AdaptiveCheckpoint,
-        mut sink: impl FnMut(&AdaptiveCheckpoint),
-    ) -> AdaptiveRun {
-        let cfg = self.adaptive_config();
-        let round_size = cfg.round.max(1);
-        let total_rounds = trials.len().div_ceil(round_size);
-        let done = checkpoint.rounds_done.min(total_rounds);
-        assert_eq!(
-            checkpoint.entries.len(),
-            (done * round_size).min(trials.len()),
-            "adaptive checkpoint does not match this batch layout"
-        );
-        let pool = Pool::new(threads);
-        let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
-        let memo = DetectorMemo::new();
-        for round in done..total_rounds {
-            let start = round * round_size;
-            let end = ((round + 1) * round_size).min(trials.len());
-            let order = if cfg.reorder {
-                checkpoint.priority.half_order()
-            } else {
-                [DriveLevel::Low, DriveLevel::High]
-            };
-            let ledger = checkpoint.ledger.clone();
-            let batch: Vec<(usize, Trial)> = (start..end).map(|i| (i, trials[i])).collect();
-            let results = pool.try_map(&batch, |_, (index, trial)| {
-                self.run_adaptive_trial_attempts(
-                    *trial,
-                    *index as u64,
-                    budget_token.as_ref(),
-                    Some(&ledger),
-                    order,
-                    Some(&memo),
-                )
-            });
-            for ((index, _), result) in batch.iter().zip(results) {
-                let entry = self.fold_result(*index, result, checkpoint);
-                checkpoint.entries.push(entry);
-            }
-            checkpoint.rounds_done = round + 1;
-            sink(checkpoint);
-        }
-        assemble(checkpoint)
+        sink: impl FnMut(&AdaptiveCheckpoint),
+    ) -> Result<AdaptiveRun, CheckpointError> {
+        let round = self.adaptive_config().round.max(1);
+        checkpoint.check_layout(self.wires(), round, trials.len())?;
+        Ok(self.run_rounds(trials, threads, round, TrialFold::adaptive, checkpoint, sink))
     }
 
     /// The exhaustive oracle with per-pattern attribution: every trial
@@ -446,282 +497,91 @@ impl Campaign {
     #[must_use]
     pub fn run_attributed(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
         let mut checkpoint = AdaptiveCheckpoint::new(self.wires());
-        let pool = Pool::new(threads);
-        let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
-        let order = [DriveLevel::Low, DriveLevel::High];
-        let batch: Vec<(usize, Trial)> = trials.iter().copied().enumerate().collect();
-        let memo = DetectorMemo::new();
-        let results = pool.try_map(&batch, |_, (index, trial)| {
-            self.run_adaptive_trial_attempts(
-                *trial,
-                *index as u64,
-                budget_token.as_ref(),
-                None,
-                order,
-                Some(&memo),
-            )
-        });
-        for ((index, _), result) in batch.iter().zip(results) {
-            let entry = self.fold_result(*index, result, &mut checkpoint);
-            checkpoint.entries.push(entry);
-        }
-        assemble(&checkpoint)
+        let attributed = |_: &TrialFold| Session::Attributed;
+        self.run_rounds(trials, threads, usize::MAX, attributed, &mut checkpoint, |_| {})
     }
 
-    /// The fleet's serial adaptive path: streams one checkpoint-v2
-    /// entry per trial (now carrying the `dropped` / `escalation`
-    /// counters) while holding only the ledger and running stats in
-    /// memory. Serial execution lets the ledger fold after every trial
-    /// instead of every round, so a board sheds the maximum work.
-    pub fn run_streaming_adaptive(
+    /// The batch loop behind every in-memory engine: runs `pending`
+    /// (`(index, trial)` pairs) in chunks of `chunk` across `threads`
+    /// workers sharing one detector memo and one budget token. Every
+    /// trial of a chunk runs the session `session_for` picks from the
+    /// fold state at the chunk boundary; results fold into `state` in
+    /// index order and the chunk's entries go to `commit`.
+    pub(crate) fn run_batch(
+        &self,
+        pending: &[(usize, Trial)],
+        threads: usize,
+        chunk: usize,
+        session_for: fn(&TrialFold) -> Session<'_>,
+        state: &mut AdaptiveCheckpoint,
+        mut commit: impl FnMut(&mut AdaptiveCheckpoint, Vec<CheckpointEntry>),
+    ) {
+        let pool = Pool::new(threads);
+        let budget = self.campaign_budget().map(CancelToken::with_deadline);
+        let memo = DetectorMemo::new();
+        let max_attempts = self.retry_policy().max_attempts.max(1);
+        for batch in pending.chunks(chunk.max(1)) {
+            let session = session_for(&state.fold);
+            let results = pool.try_map(batch, |_, &(index, trial)| {
+                self.run_attempts(trial, index, budget.as_ref(), session, Some(&memo))
+            });
+            let entries = batch
+                .iter()
+                .zip(results)
+                .map(|(&(index, _), result)| {
+                    // The attempt isolates its own panics; the pool's
+                    // isolation is the backstop.
+                    let attempt = result.unwrap_or_else(|panic| {
+                        TrialAttempt::new(
+                            AttemptOutcome::Infrastructure { error: panic.message },
+                            max_attempts,
+                        )
+                    });
+                    state.fold.fold(index, attempt)
+                })
+                .collect();
+            commit(state, entries);
+        }
+    }
+
+    /// The rounds engine: runs the trials `checkpoint` does not hold yet
+    /// through the batch loop, `round` at a time. Every trial of a
+    /// round sees the fold state as of the round boundary, and results
+    /// fold back in index order, so the summary is byte-identical at
+    /// any thread count.
+    fn run_rounds(
         &self,
         trials: &[Trial],
-        budget: Option<&CancelToken>,
-        mut emit: impl FnMut(&CheckpointEntry),
-    ) -> CampaignStats {
-        let own = if budget.is_none() {
-            self.campaign_budget().map(CancelToken::with_deadline)
-        } else {
-            None
-        };
-        let budget = budget.or(own.as_ref());
-        let cfg = self.adaptive_config();
-        let mut checkpoint = AdaptiveCheckpoint::new(self.wires());
-        let mut stats = CampaignStats::default();
-        for (index, trial) in trials.iter().enumerate() {
-            let order = if cfg.reorder {
-                checkpoint.priority.half_order()
-            } else {
-                [DriveLevel::Low, DriveLevel::High]
-            };
-            let ledger = checkpoint.ledger.clone();
-            let result = Ok(self.run_adaptive_trial_attempts(
-                *trial,
-                index as u64,
-                budget,
-                Some(&ledger),
-                order,
-                None,
-            ));
-            let entry = self.fold_result(index, result, &mut checkpoint);
-            stats.accumulate(entry.outcome);
-            emit(&entry);
-            checkpoint.entries.push(entry);
-        }
-        stats
-    }
-
-    /// Runs exactly **one adaptive attempt** of one trial, isolating
-    /// panics and classifying every way it can end — the adaptive
-    /// counterpart of [`Campaign::run_trial_isolated`], for external
-    /// supervisors (the fleet's circuit breaker) that own their own
-    /// retry policy *and* their own campaign-wide [`CoverageLedger`].
-    ///
-    /// On a verdict the returned [`AdaptiveDelta`] carries the freshly
-    /// detected `(victim, fault)` pairs plus the drop/escalation
-    /// counters; the caller folds the pairs into its ledger (and its
-    /// [`FaultPriority`] clock) before the next trial. Every other
-    /// ending yields `None` — a shed or failed attempt detects nothing.
-    #[must_use]
-    pub fn run_adaptive_trial_isolated(
-        &self,
-        trial: Trial,
-        seed: u64,
-        ledger: &CoverageLedger,
-        half_order: [DriveLevel; 2],
-    ) -> (AttemptOutcome, Option<AdaptiveDelta>) {
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.run_adaptive_trial_seeded(trial, seed, Some(ledger), half_order, None)
-        })) {
-            Ok(Ok(report)) => (
-                AttemptOutcome::Verdict(report.outcome),
-                Some(AdaptiveDelta {
-                    detected: report.detected,
-                    dropped: report.dropped,
-                    escalations: report.escalations,
-                }),
-            ),
-            Ok(Err(CoreError::DeadlineExceeded { step })) => {
-                (AttemptOutcome::Shed(ShedReason::Deadline { step }), None)
-            }
-            Ok(Err(error @ CoreError::Infrastructure(_))) => {
-                (AttemptOutcome::Infrastructure { error: error.to_string() }, None)
-            }
-            Ok(Err(error)) => (AttemptOutcome::Error { error: error.to_string() }, None),
-            Err(payload) => {
-                (AttemptOutcome::Infrastructure { error: panic_message(&*payload) }, None)
-            }
-        }
-    }
-
-    /// Folds one trial result into the campaign state (ledger, priority
-    /// clock, TCK tally) and returns its checkpoint entry.
-    fn fold_result(
-        &self,
-        index: usize,
-        result: Result<Result<AdaptiveTrialReport, TrialAbort>, sint_runtime::pool::JobPanic>,
+        threads: usize,
+        round: usize,
+        session_for: fn(&TrialFold) -> Session<'_>,
         checkpoint: &mut AdaptiveCheckpoint,
-    ) -> CheckpointEntry {
-        let seed = index as u64;
-        let max_attempts = self.retry_policy().max_attempts.max(1);
-        let mut entry = CheckpointEntry {
-            index,
-            seed,
-            outcome: TrialOutcome::Failed,
-            failure: None,
-            shed: None,
-            dropped: 0,
-            escalation: 0,
-        };
-        match result {
-            Ok(Ok(report)) => {
-                entry.outcome = report.outcome;
-                entry.dropped = report.dropped;
-                entry.escalation = report.escalations;
-                checkpoint.total_tck += report.tck;
-                for (victim, fault) in report.detected {
-                    if checkpoint.ledger.record(victim, fault) {
-                        checkpoint.priority.record(fault);
-                    }
-                }
-            }
-            Ok(Err(TrialAbort::Failed { attempts, error })) => {
-                entry.failure = Some(TrialFailure { index, seed, attempts, error });
-            }
-            Ok(Err(TrialAbort::Shed(reason))) => {
-                entry.outcome = TrialOutcome::Shed;
-                entry.shed = Some(TrialShed { index, seed, reason });
-            }
-            Err(panic) => {
-                entry.failure = Some(TrialFailure {
-                    index,
-                    seed,
-                    attempts: max_attempts,
-                    error: panic.message,
-                });
-            }
-        }
-        entry
-    }
-
-    /// Adaptive counterpart of the internal retry engine: bounded,
-    /// seed-perturbed attempts with panic isolation, running either the
-    /// ledger-driven adaptive session (`ledger = Some`) or the
-    /// attributed-exhaustive oracle (`ledger = None`), on SoCs sharing
-    /// the calling batch engine's detector memo, if any.
-    fn run_adaptive_trial_attempts(
-        &self,
-        trial: Trial,
-        base_seed: u64,
-        budget: Option<&CancelToken>,
-        ledger: Option<&CoverageLedger>,
-        half_order: [DriveLevel; 2],
-        memo: Option<&DetectorMemo>,
-    ) -> Result<AdaptiveTrialReport, TrialAbort> {
-        if let Some(token) = budget {
-            if token.poll_deadline() || token.is_cancelled() {
-                return Err(TrialAbort::Shed(crate::campaign::ShedReason::Budget));
-            }
-        }
-        let policy = self.retry_policy();
-        let max_attempts = policy.max_attempts.max(1);
-        let mut last_error = String::new();
-        for attempt in 0..max_attempts {
-            let seed = base_seed.wrapping_add((attempt as u64).wrapping_mul(policy.seed_stride));
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.run_adaptive_trial_seeded(trial, seed, ledger, half_order, memo)
-            })) {
-                Ok(Ok(report)) => return Ok(report),
-                Ok(Err(CoreError::DeadlineExceeded { step })) => {
-                    return Err(TrialAbort::Shed(crate::campaign::ShedReason::Deadline { step }));
-                }
-                Ok(Err(error)) => last_error = error.to_string(),
-                Err(payload) => last_error = panic_message(&*payload),
-            }
-        }
-        Err(TrialAbort::Failed { attempts: max_attempts, error: last_error })
-    }
-
-    /// Runs one adaptive (or attributed-exhaustive) trial.
-    fn run_adaptive_trial_seeded(
-        &self,
-        trial: Trial,
-        seed_offset: u64,
-        ledger: Option<&CoverageLedger>,
-        half_order: [DriveLevel; 2],
-        memo: Option<&DetectorMemo>,
-    ) -> Result<AdaptiveTrialReport, CoreError> {
-        if trial.sabotage == TrialSabotage::Panic {
-            panic!("injected fault: sabotaged trial (TrialSabotage::Panic)");
-        }
-        let config = self.trial_session_config(trial)?;
-        let mut soc = self.build_trial_soc(trial, seed_offset, memo)?;
-        let outcome = match ledger {
-            Some(ledger) => soc.run_adaptive_session(&config, ledger, half_order)?,
-            None => soc.run_attributed_exhaustive(&config)?,
-        };
-        let empty = CoverageLedger::new(0);
-        let judged = judge_adaptive(trial, &outcome, ledger.unwrap_or(&empty));
-        Ok(AdaptiveTrialReport {
-            outcome: judged,
-            tck: outcome.report.tck_used,
-            detected: outcome.detected,
-            dropped: outcome.dropped,
-            escalations: outcome.escalations,
-        })
+        mut sink: impl FnMut(&AdaptiveCheckpoint),
+    ) -> AdaptiveRun {
+        let pending: Vec<(usize, Trial)> =
+            trials.iter().copied().enumerate().skip(checkpoint.entries.len()).collect();
+        self.run_batch(&pending, threads, round, session_for, checkpoint, |cp, entries| {
+            cp.entries.extend(entries);
+            cp.rounds_done += 1;
+            sink(cp);
+        });
+        assemble(&checkpoint.entries, &checkpoint.fold)
     }
 }
 
-/// Judges one adaptive session. Unlike the exhaustive judge, a dropped
-/// re-excitation must still count: when the judged wire's pairs are
-/// already in the campaign ledger, the defect was *previously*
-/// detected and the skipped patterns would only have confirmed it, so
-/// the trial is credited from the ledger — noise from any covered
-/// glitch-class pair, skew from any covered skew-class pair.
-fn judge_adaptive(
-    trial: Trial,
-    outcome: &AdaptiveSessionOutcome,
-    ledger: &CoverageLedger,
-) -> TrialOutcome {
-    match trial.defect {
-        Some(_) => {
-            let wire = trial.judged_wire();
-            let v = outcome.report.wire(wire);
-            let mut noise = v.noise;
-            let mut skew = v.skew;
-            for fault in IntegrityFault::ALL {
-                if ledger.is_covered(wire, fault) {
-                    if fault.is_skew() {
-                        skew = true;
-                    } else {
-                        noise = true;
-                    }
-                }
-            }
-            if noise || skew {
-                TrialOutcome::Detected { noise, skew }
-            } else {
-                TrialOutcome::Missed
-            }
-        }
-        None => {
-            if outcome.report.any_violation() {
-                TrialOutcome::FalseAlarm
-            } else {
-                TrialOutcome::CleanPass
-            }
-        }
-    }
-}
-
-/// Assembles the public run summary from a fully-folded checkpoint.
-fn assemble(checkpoint: &AdaptiveCheckpoint) -> AdaptiveRun {
-    let mut outcomes = Vec::with_capacity(checkpoint.entries.len());
+/// Assembles a run summary from finished entries in index order, plus
+/// the fold's detected-pair set and TCK tally — the one assembly behind
+/// both [`AdaptiveRun`] and [`crate::campaign::CampaignRun`].
+pub(crate) fn assemble<'a>(
+    entries: impl IntoIterator<Item = &'a CheckpointEntry>,
+    fold: &TrialFold,
+) -> AdaptiveRun {
+    let mut outcomes = Vec::new();
     let mut failures = Vec::new();
     let mut shed = Vec::new();
     let mut dropped = 0u64;
     let mut escalations = 0u64;
-    for entry in &checkpoint.entries {
+    for entry in entries {
         outcomes.push(entry.outcome);
         if let Some(failure) = &entry.failure {
             failures.push(failure.clone());
@@ -737,10 +597,10 @@ fn assemble(checkpoint: &AdaptiveCheckpoint) -> AdaptiveRun {
         outcomes,
         failures,
         shed,
-        detected: checkpoint.ledger.pairs(),
+        detected: fold.ledger.pairs(),
         dropped,
         escalations,
-        total_tck: checkpoint.total_tck,
+        total_tck: fold.total_tck,
     }
 }
 
@@ -770,7 +630,7 @@ mod tests {
         // this narrow the re-presented defects must be dropped
         // immediately for the savings to beat the escalation spent on
         // their first appearance.
-        let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 1, reorder: true });
+        let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 1 });
         let trials = sweep_trials();
         let adaptive = campaign.run_adaptive(&trials, 1);
         let oracle = campaign.run_attributed(&trials, 1);
@@ -808,7 +668,7 @@ mod tests {
         let trials = sweep_trials();
         let rounds = campaign.run_adaptive(&trials, 1);
         let mut streamed = Vec::new();
-        let stats = campaign.run_streaming_adaptive(&trials, None, |e| streamed.push(e.clone()));
+        let stats = campaign.run_streaming(&trials, None, true, |e| streamed.push(e.clone()));
         assert_eq!(stats, rounds.stats);
         let outcomes: Vec<_> = streamed.iter().map(|e| e.outcome).collect();
         assert_eq!(outcomes, rounds.outcomes);
@@ -818,12 +678,12 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_is_byte_identical() {
-        let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 3, reorder: true });
+        let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 3 });
         let trials = sweep_trials();
 
         let mut reference_ckpt = AdaptiveCheckpoint::new(4);
         let reference =
-            campaign.run_adaptive_checkpointed(&trials, 1, &mut reference_ckpt, |_| {});
+            campaign.run_adaptive_checkpointed(&trials, 1, &mut reference_ckpt, |_| {}).unwrap();
 
         // Kill after the first round; resume from the persisted bytes.
         let mut first_snapshot = None;
@@ -837,8 +697,68 @@ mod tests {
         let mut resumed_ckpt = AdaptiveCheckpoint::parse(&snapshot).unwrap();
         assert_eq!(resumed_ckpt.rounds_done(), 1);
         assert_eq!(resumed_ckpt.entries().len(), 3);
-        let resumed = campaign.run_adaptive_checkpointed(&trials, 4, &mut resumed_ckpt, |_| {});
+        let resumed =
+            campaign.run_adaptive_checkpointed(&trials, 4, &mut resumed_ckpt, |_| {}).unwrap();
         assert_eq!(resumed.to_json().render(), reference.to_json().render());
+    }
+
+    /// A snapshot `parse` accepts but that cannot belong to `trials`
+    /// must be refused with a schema error before any trial runs.
+    fn refuses_to_resume(campaign: &Campaign, trials: &[Trial], snapshot: &str) -> String {
+        let mut checkpoint = AdaptiveCheckpoint::parse(snapshot).unwrap();
+        let mut sink_calls = 0usize;
+        let result = campaign.run_adaptive_checkpointed(trials, 1, &mut checkpoint, |_| {
+            sink_calls += 1;
+        });
+        assert_eq!(sink_calls, 0, "nothing may run on a misfit checkpoint");
+        match result {
+            Err(CheckpointError::Schema { reason }) => reason,
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_refuses_rounds_without_their_entries() {
+        let campaign = Campaign::new(6).adaptive(AdaptiveConfig { round: 2 });
+        let trials = vec![Trial::control(); 8];
+        let snapshot = r#"{"version":1,"rounds_done":3,"total_tck":0,"ledger":{"wires":6,"masks":[0,0,0,0,0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[]}"#;
+        let reason = refuses_to_resume(&campaign, &trials, snapshot);
+        assert!(reason.contains("need 6 entries, found 0"), "{reason}");
+    }
+
+    #[test]
+    fn resume_refuses_a_ledger_of_another_width() {
+        let campaign = Campaign::new(6);
+        let trials = vec![Trial::control(); 8];
+        let snapshot = r#"{"version":1,"rounds_done":0,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[]}"#;
+        let reason = refuses_to_resume(&campaign, &trials, snapshot);
+        assert!(reason.contains("ledger tracks 2 wires"), "{reason}");
+    }
+
+    #[test]
+    fn resume_refuses_entries_that_skip_a_trial() {
+        let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 1 });
+        let trials = vec![Trial::control(); 3];
+        let entry = |i: usize| {
+            CheckpointEntry {
+                index: i,
+                seed: i as u64,
+                outcome: TrialOutcome::CleanPass,
+                failure: None,
+                shed: None,
+                dropped: 0,
+                escalation: 0,
+            }
+            .to_json()
+            .render()
+        };
+        let snapshot = format!(
+            r#"{{"version":1,"rounds_done":2,"total_tck":0,"ledger":{{"wires":4,"masks":[0,0,0,0]}},"priority":{{"clock":0,"last_hit":[0,0,0,0,0,0]}},"entries":[{},{}]}}"#,
+            entry(0),
+            entry(2)
+        );
+        let reason = refuses_to_resume(&campaign, &trials, &snapshot);
+        assert!(reason.contains("dense prefix"), "{reason}");
     }
 
     #[test]

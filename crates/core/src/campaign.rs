@@ -6,22 +6,25 @@
 //! the caller supplies the exact defect list (randomised campaigns
 //! sample defects upstream, e.g. in `sint-bench`).
 
-use crate::adaptive::AdaptiveConfig;
+use crate::adaptive::{AdaptiveConfig, AdaptiveDelta};
+use crate::checkpoint::CampaignCheckpoint;
 use crate::cost::MethodPlanner;
 use crate::error::CoreError;
+use crate::mafm::{CoverageLedger, IntegrityFault};
 use crate::memo::DetectorMemo;
 use crate::session::{IntegrityReport, ObservationMethod, SessionConfig};
-use crate::soc::{Soc, SocBuilder};
+use crate::soc::{AdaptiveSessionOutcome, Soc, SocBuilder};
 use crate::timing::ChainGeometry;
 use sint_interconnect::defect::Defect;
+use sint_interconnect::drive::DriveLevel;
 use sint_interconnect::params::BusParams;
 use sint_interconnect::variation::VariationSigma;
 use sint_jtag::fault::ScanFault;
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
-use sint_runtime::pool::{panic_message, Pool};
+use sint_runtime::pool::panic_message;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{self, AssertUnwindSafe};
 use std::time::Duration;
 
 /// Deliberate in-trial sabotage, for exercising the campaign engine's
@@ -402,9 +405,9 @@ impl ToJson for TrialShed {
 /// distinguish "the interconnect answered" from "the test apparatus
 /// broke" from "the schedule cut it loose".
 ///
-/// This is the per-attempt face of the engine
-/// ([`Campaign::run_trial_isolated`]); the batch engines' own attempt
-/// loop aggregates the same classifications internally.
+/// Every engine classifies attempts this way: the batch and streaming
+/// engines through the campaign's [`RetryPolicy`], external
+/// supervisors one attempt at a time ([`Campaign::run_trial_isolated`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttemptOutcome {
     /// The session ran to completion and judged the interconnect.
@@ -430,19 +433,45 @@ pub enum AttemptOutcome {
     },
 }
 
-/// How one trial attempt sequence ended without a verdict.
+/// How a trial's latest attempt ended, what its verdict contributes to
+/// campaign state, and how many attempts it took — the input
+/// [`crate::adaptive::TrialFold::fold`] turns into a [`crate::checkpoint::CheckpointEntry`].
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TrialAbort {
-    /// Every attempt panicked or errored.
-    Failed {
-        /// Attempts made before giving up.
-        attempts: usize,
-        /// The last panic message or error rendering.
-        error: String,
+pub struct TrialAttempt {
+    /// The attempt's classification. A trial whose attempts are spent
+    /// on [`AttemptOutcome::Infrastructure`] or [`AttemptOutcome::Error`]
+    /// is recorded as [`TrialOutcome::Failed`].
+    pub outcome: AttemptOutcome,
+    /// Attempts made; a failure record reports it.
+    pub attempts: usize,
+    /// The verdict's detections and counters (empty for every other
+    /// outcome and for exhaustive sessions).
+    pub delta: AdaptiveDelta,
+}
+
+impl TrialAttempt {
+    /// An attempt record without a verdict delta.
+    #[must_use]
+    pub fn new(outcome: AttemptOutcome, attempts: usize) -> TrialAttempt {
+        TrialAttempt { outcome, attempts, delta: AdaptiveDelta::default() }
+    }
+}
+
+/// The session one trial attempt runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Session<'a> {
+    /// The paper's session ([`Soc::run_integrity_test`]).
+    Exhaustive,
+    /// Every pattern probed ([`Soc::run_attributed_exhaustive`]).
+    Attributed,
+    /// Ledger-driven dropping and escalation
+    /// ([`Soc::run_adaptive_session`]).
+    Adaptive {
+        /// Pairs already detected campaign-wide.
+        ledger: &'a CoverageLedger,
+        /// The order the two initial-value halves run in.
+        half_order: [DriveLevel; 2],
     },
-    /// The trial was abandoned by a deadline or never started for lack
-    /// of budget. Never retried: a deadline overrun would only repeat.
-    Shed(ShedReason),
 }
 
 /// Everything a campaign batch produced: per-trial outcomes in input
@@ -524,9 +553,9 @@ impl Campaign {
         self.planner.as_ref()
     }
 
-    /// Overrides the adaptive-engine configuration (round size and
-    /// pattern reordering) used by [`Campaign::run_adaptive`] and
-    /// friends. Ignored by the exhaustive engines.
+    /// Overrides the adaptive-engine configuration (round size) used by
+    /// [`Campaign::run_adaptive`] and friends. Ignored by the
+    /// exhaustive engines.
     #[must_use]
     pub fn adaptive(mut self, config: AdaptiveConfig) -> Campaign {
         self.adaptive = config;
@@ -642,24 +671,39 @@ impl Campaign {
     /// Panics when the trial carries [`TrialSabotage::Panic`] — the
     /// batch engines catch this and report a [`TrialFailure`].
     pub fn run_trial_seeded(&self, trial: Trial, seed_offset: u64) -> Result<TrialOutcome, CoreError> {
-        self.run_trial_memo(trial, seed_offset, None)
+        self.run_session(trial, seed_offset, Session::Exhaustive, None).map(|(outcome, _)| outcome)
     }
 
-    /// [`Campaign::run_trial_seeded`] on a SoC sharing the calling
-    /// batch engine's [`DetectorMemo`], if any.
-    fn run_trial_memo(
+    /// Builds the trial SoC (sharing the calling batch engine's
+    /// [`DetectorMemo`], if any), runs `session` on it and judges the
+    /// report.
+    fn run_session(
         &self,
         trial: Trial,
         seed_offset: u64,
+        session: Session<'_>,
         memo: Option<&DetectorMemo>,
-    ) -> Result<TrialOutcome, CoreError> {
+    ) -> Result<(TrialOutcome, AdaptiveDelta), CoreError> {
         if trial.sabotage == TrialSabotage::Panic {
             panic!("injected fault: sabotaged trial (TrialSabotage::Panic)");
         }
         let config = self.trial_session_config(trial)?;
         let mut soc = self.build_trial_soc(trial, seed_offset, memo)?;
-        let report = soc.run_integrity_test(&config)?;
-        Ok(Campaign::judge(trial, &report))
+        let (report, mut delta, ledger) = match session {
+            Session::Exhaustive => {
+                (soc.run_integrity_test(&config)?, AdaptiveDelta::default(), None)
+            }
+            Session::Attributed => {
+                let (report, delta) = split(soc.run_attributed_exhaustive(&config)?);
+                (report, delta, None)
+            }
+            Session::Adaptive { ledger, half_order } => {
+                let (report, delta) = split(soc.run_adaptive_session(&config, ledger, half_order)?);
+                (report, delta, Some(ledger))
+            }
+        };
+        delta.tck = report.tck_used;
+        Ok((judge(trial, &report, ledger), delta))
     }
 
     /// The session configuration one trial runs with: the campaign's
@@ -716,80 +760,22 @@ impl Campaign {
         Ok(soc)
     }
 
-    /// Judges a finished session against its trial kind: the defect's
-    /// focus wire for defect trials, the whole bus for controls.
-    pub(crate) fn judge(trial: Trial, report: &IntegrityReport) -> TrialOutcome {
-        match trial.defect {
-            Some(_) => {
-                let v = report.wire(trial.judged_wire());
-                if v.any() {
-                    TrialOutcome::Detected { noise: v.noise, skew: v.skew }
-                } else {
-                    TrialOutcome::Missed
-                }
-            }
-            None => {
-                if report.any_violation() {
-                    TrialOutcome::FalseAlarm
-                } else {
-                    TrialOutcome::CleanPass
-                }
-            }
-        }
-    }
-
-    /// Runs one trial with bounded, seed-perturbed retry per the
-    /// campaign's [`RetryPolicy`], isolating panics per attempt.
-    ///
-    /// Attempt 0 uses `base_seed` unchanged; attempt `a` uses
-    /// `base_seed + a * seed_stride` (wrapping), so a healthy trial is
-    /// byte-identical to the retry-free engine. `memo` is the calling
-    /// batch engine's detector memo (`None` solves every pattern).
-    pub(crate) fn run_trial_attempts(
+    /// The single attempt every engine runs: one session of `trial` at
+    /// variation seed `seed`, panics isolated and every ending
+    /// classified.
+    fn attempt(
         &self,
         trial: Trial,
-        base_seed: u64,
-        budget: Option<&CancelToken>,
+        seed: u64,
+        session: Session<'_>,
         memo: Option<&DetectorMemo>,
-    ) -> Result<TrialOutcome, TrialAbort> {
-        if let Some(token) = budget {
-            if token.poll_deadline() || token.is_cancelled() {
-                return Err(TrialAbort::Shed(ShedReason::Budget));
+    ) -> TrialAttempt {
+        let run = || self.run_session(trial, seed, session, memo);
+        let outcome = match panic::catch_unwind(AssertUnwindSafe(run)) {
+            Ok(Ok((verdict, delta))) => {
+                let outcome = AttemptOutcome::Verdict(verdict);
+                return TrialAttempt { outcome, attempts: 1, delta };
             }
-        }
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut last_error = String::new();
-        for attempt in 0..max_attempts {
-            let seed =
-                base_seed.wrapping_add((attempt as u64).wrapping_mul(self.retry.seed_stride));
-            match catch_unwind(AssertUnwindSafe(|| self.run_trial_memo(trial, seed, memo))) {
-                Ok(Ok(outcome)) => return Ok(outcome),
-                // A deadline overrun is shed, never retried: re-running
-                // the same trial against the same clock only repeats.
-                Ok(Err(CoreError::DeadlineExceeded { step })) => {
-                    return Err(TrialAbort::Shed(ShedReason::Deadline { step }));
-                }
-                Ok(Err(error)) => last_error = error.to_string(),
-                Err(payload) => last_error = panic_message(&*payload),
-            }
-        }
-        Err(TrialAbort::Failed { attempts: max_attempts, error: last_error })
-    }
-
-    /// Runs exactly **one attempt** of one trial, isolating panics and
-    /// classifying every way it can end — the building block for
-    /// external supervisors (the fleet's circuit breaker) that own
-    /// their own retry and quarantine policy instead of using the
-    /// campaign's [`RetryPolicy`].
-    ///
-    /// `seed` is used verbatim (no attempt striding); callers that
-    /// retry should derive per-attempt seeds themselves, e.g. with the
-    /// same `base + attempt * seed_stride` rule the internal engine
-    /// uses, to keep attempt 0 byte-identical to the unsupervised path.
-    #[must_use]
-    pub fn run_trial_isolated(&self, trial: Trial, seed: u64) -> AttemptOutcome {
-        match catch_unwind(AssertUnwindSafe(|| self.run_trial_seeded(trial, seed))) {
-            Ok(Ok(outcome)) => AttemptOutcome::Verdict(outcome),
             Ok(Err(CoreError::DeadlineExceeded { step })) => {
                 AttemptOutcome::Shed(ShedReason::Deadline { step })
             }
@@ -800,7 +786,74 @@ impl Campaign {
             // A panic is an apparatus failure by definition: the
             // harness died, the interconnect never answered.
             Err(payload) => AttemptOutcome::Infrastructure { error: panic_message(&*payload) },
+        };
+        TrialAttempt::new(outcome, 1)
+    }
+
+    /// Runs trial `index` with bounded, seed-perturbed retry per the
+    /// campaign's [`RetryPolicy`].
+    ///
+    /// Attempt 0 uses the trial's base seed (its index) unchanged;
+    /// attempt `a` uses `index + a * seed_stride` (wrapping), so a
+    /// healthy trial is byte-identical to the retry-free engine. A
+    /// fired `budget` sheds the trial before it starts; a verdict or a
+    /// deadline shed ends it (re-running an overrun against the same
+    /// clock only repeats).
+    pub(crate) fn run_attempts(
+        &self,
+        trial: Trial,
+        index: usize,
+        budget: Option<&CancelToken>,
+        session: Session<'_>,
+        memo: Option<&DetectorMemo>,
+    ) -> TrialAttempt {
+        if budget.is_some_and(|token| token.poll_deadline() || token.is_cancelled()) {
+            return TrialAttempt::new(AttemptOutcome::Shed(ShedReason::Budget), 0);
         }
+        let max_attempts = self.retry.max_attempts.max(1);
+        let mut attempts = 0usize;
+        loop {
+            let seed = (index as u64)
+                .wrapping_add((attempts as u64).wrapping_mul(self.retry.seed_stride));
+            let mut attempt = self.attempt(trial, seed, session, memo);
+            attempts += 1;
+            attempt.attempts = attempts;
+            if attempts == max_attempts
+                || matches!(attempt.outcome, AttemptOutcome::Verdict(_) | AttemptOutcome::Shed(_))
+            {
+                return attempt;
+            }
+        }
+    }
+
+    /// Runs exactly **one attempt** of one trial, isolating panics and
+    /// classifying every way it can end — the building block for
+    /// external supervisors (the fleet's circuit breaker) that own
+    /// their own retry and quarantine policy instead of using the
+    /// campaign's [`RetryPolicy`].
+    ///
+    /// `adaptive` selects the session: `None` runs the exhaustive one;
+    /// `Some((ledger, half_order))` runs the adaptive one against the
+    /// caller's campaign-wide ledger, and a verdict's
+    /// [`TrialAttempt::delta`] carries what the caller folds back
+    /// ([`crate::adaptive::TrialFold::fold`]) before its next trial.
+    ///
+    /// `seed` is used verbatim (no attempt striding); callers that
+    /// retry should derive per-attempt seeds themselves, e.g. with the
+    /// same `base + attempt * seed_stride` rule the internal engine
+    /// uses, to keep attempt 0 byte-identical to the unsupervised path.
+    #[must_use]
+    pub fn run_trial_isolated(
+        &self,
+        trial: Trial,
+        seed: u64,
+        adaptive: Option<(&CoverageLedger, [DriveLevel; 2])>,
+    ) -> TrialAttempt {
+        let session = match adaptive {
+            Some((ledger, half_order)) => Session::Adaptive { ledger, half_order },
+            None => Session::Exhaustive,
+        };
+        self.attempt(trial, seed, session, None)
     }
 
     /// Runs a batch of trials serially.
@@ -814,12 +867,14 @@ impl Campaign {
         self.run_parallel(trials, 1)
     }
 
-    /// Runs a batch of trials across `threads` workers.
+    /// Runs a batch of trials across `threads` workers:
+    /// [`Campaign::run_checkpointed`] from an empty checkpoint, in one
+    /// chunk.
     ///
     /// Each trial's die (its variation seed) is derived from the trial
-    /// *index*, and the pool returns outcomes in input order, so the
-    /// summary is reproducible at any thread count — the determinism
-    /// contract locked in by the workspace's campaign-determinism test.
+    /// *index*, and results fold in input order, so the summary is
+    /// reproducible at any thread count — the determinism contract
+    /// locked in by the workspace's campaign-determinism test.
     ///
     /// A trial that panics or errors is retried per the campaign's
     /// [`RetryPolicy`] and, if every attempt fails, is reported as
@@ -830,41 +885,53 @@ impl Campaign {
     /// call, so a vector pair is solved once per distinct bus.
     #[must_use]
     pub fn run_parallel(&self, trials: &[Trial], threads: usize) -> CampaignRun {
-        let budget_token = self.budget.map(CancelToken::with_deadline);
-        let memo = DetectorMemo::new();
-        let results = Pool::new(threads).try_map(trials, |idx, trial| {
-            self.run_trial_attempts(*trial, idx as u64, budget_token.as_ref(), Some(&memo))
-        });
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut outcomes = Vec::with_capacity(results.len());
-        let mut failures = Vec::new();
-        let mut shed = Vec::new();
-        for (index, result) in results.into_iter().enumerate() {
-            let seed = index as u64;
-            match result {
-                Ok(Ok(outcome)) => outcomes.push(outcome),
-                Ok(Err(TrialAbort::Failed { attempts, error })) => {
-                    outcomes.push(TrialOutcome::Failed);
-                    failures.push(TrialFailure { index, seed, attempts, error });
-                }
-                Ok(Err(TrialAbort::Shed(reason))) => {
-                    outcomes.push(TrialOutcome::Shed);
-                    shed.push(TrialShed { index, seed, reason });
-                }
-                // The per-attempt catch_unwind above is the first line
-                // of defence; the pool's own isolation is the backstop.
-                Err(panic) => {
-                    outcomes.push(TrialOutcome::Failed);
-                    failures.push(TrialFailure {
-                        index,
-                        seed,
-                        attempts: max_attempts,
-                        error: panic.message,
-                    });
+        self.run_checkpointed(trials, threads, &mut CampaignCheckpoint::new(), usize::MAX, |_| {})
+    }
+}
+
+/// Splits an adaptive or attributed session outcome into its report
+/// and the delta its verdict contributes.
+fn split(outcome: AdaptiveSessionOutcome) -> (IntegrityReport, AdaptiveDelta) {
+    let AdaptiveSessionOutcome { report, detected, dropped, escalations } = outcome;
+    (report, AdaptiveDelta { detected, dropped, escalations, tck: 0 })
+}
+
+/// Judges a finished session against its trial kind: the defect's
+/// focus wire for defect trials, the whole bus for controls.
+///
+/// An adaptive session also credits the campaign `ledger`: when the
+/// judged wire's pairs are already covered, the defect was *previously*
+/// detected and the dropped patterns would only have confirmed it —
+/// noise from any covered glitch-class pair, skew from any covered
+/// skew-class pair. Without a ledger this is the plain report judge.
+fn judge(trial: Trial, report: &IntegrityReport, ledger: Option<&CoverageLedger>) -> TrialOutcome {
+    match trial.defect {
+        Some(_) => {
+            let wire = trial.judged_wire();
+            let v = report.wire(wire);
+            let (mut noise, mut skew) = (v.noise, v.skew);
+            for fault in IntegrityFault::ALL {
+                if ledger.is_some_and(|l| l.is_covered(wire, fault)) {
+                    if fault.is_skew() {
+                        skew = true;
+                    } else {
+                        noise = true;
+                    }
                 }
             }
+            if noise || skew {
+                TrialOutcome::Detected { noise, skew }
+            } else {
+                TrialOutcome::Missed
+            }
         }
-        CampaignRun { stats: CampaignStats::tally(&outcomes), outcomes, failures, shed }
+        None => {
+            if report.any_violation() {
+                TrialOutcome::FalseAlarm
+            } else {
+                TrialOutcome::CleanPass
+            }
+        }
     }
 }
 
@@ -1126,17 +1193,19 @@ mod tests {
         // which worker got to a key first.
         let trial = Trial::control();
         let warm = DetectorMemo::new();
-        let filled = Campaign::new(3).run_trial_attempts(trial, 0, None, Some(&warm));
-        assert_eq!(filled, Ok(TrialOutcome::CleanPass));
+        let run = |campaign: &Campaign, memo| {
+            campaign.run_attempts(trial, 0, None, Session::Exhaustive, Some(memo)).outcome
+        };
+        assert_eq!(run(&Campaign::new(3), &warm), AttemptOutcome::Verdict(TrialOutcome::CleanPass));
         assert!(warm.entries() > 0, "the control's patterns were stored");
         let entries = warm.entries();
 
         let doomed = Campaign::new(3).deadline(Duration::ZERO);
-        let shed = Err(TrialAbort::Shed(ShedReason::Deadline { step: 0 }));
-        assert_eq!(doomed.run_trial_attempts(trial, 0, None, Some(&warm)), shed, "all hits");
+        let shed = AttemptOutcome::Shed(ShedReason::Deadline { step: 0 });
+        assert_eq!(run(&doomed, &warm), shed, "all hits");
         assert_eq!(warm.entries(), entries, "a shed flush stores nothing");
         let cold = DetectorMemo::new();
-        assert_eq!(doomed.run_trial_attempts(trial, 0, None, Some(&cold)), shed, "all misses");
+        assert_eq!(run(&doomed, &cold), shed, "all misses");
         assert_eq!(cold.entries(), 0);
     }
 }

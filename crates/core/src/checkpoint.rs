@@ -10,14 +10,13 @@
 //! index (its variation seed), the resumed summary is byte-identical to
 //! an uninterrupted run at any thread count.
 
+use crate::adaptive::{assemble, AdaptiveCheckpoint, AdaptiveRun, TrialFold};
 use crate::campaign::{
-    Campaign, CampaignRun, CampaignStats, ShedReason, Trial, TrialAbort, TrialFailure,
-    TrialOutcome, TrialShed,
+    Campaign, CampaignRun, CampaignStats, Session, ShedReason, Trial, TrialFailure, TrialOutcome,
+    TrialShed,
 };
-use crate::memo::DetectorMemo;
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, JsonParseError, ToJson};
-use sint_runtime::pool::Pool;
 use std::fmt;
 
 /// Checkpoint format version emitted by [`CampaignCheckpoint::to_json`].
@@ -197,7 +196,7 @@ impl CampaignCheckpoint {
     /// [`CheckpointError::Schema`] for a well-formed document that is
     /// not a version-1 checkpoint.
     pub fn parse(text: &str) -> Result<CampaignCheckpoint, CheckpointError> {
-        let root = Json::parse(text)?;
+        let root = parse_document(text)?;
         match root.get("version").and_then(Json::as_u64) {
             Some(CHECKPOINT_VERSION) => {}
             Some(v) => {
@@ -238,6 +237,30 @@ impl ToJson for CampaignCheckpoint {
             ("entries", Json::Array(self.entries.iter().map(ToJson::to_json).collect())),
         ])
     }
+}
+
+/// Parses a snapshot document, refusing any object that repeats a key:
+/// which copy a reader would honour is ambiguous, so a duplicated key
+/// is corruption, not data.
+pub(crate) fn parse_document(text: &str) -> Result<Json, CheckpointError> {
+    fn check(json: &Json) -> Result<(), CheckpointError> {
+        match json {
+            Json::Object(pairs) => {
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if pairs[..i].iter().any(|(k, _)| k == key) {
+                        return Err(CheckpointError::schema(format!("duplicate key {key:?}")));
+                    }
+                    check(value)?;
+                }
+                Ok(())
+            }
+            Json::Array(items) => items.iter().try_for_each(check),
+            _ => Ok(()),
+        }
+    }
+    let root = Json::parse(text)?;
+    check(&root)?;
+    Ok(root)
 }
 
 fn field_u64(entry: &Json, key: &str) -> Result<u64, CheckpointError> {
@@ -337,12 +360,17 @@ impl Campaign {
     /// This is the fleet engine's per-board path: records stream out
     /// incrementally (to a JSONL artifact, a channel, a tally — the
     /// sink's choice) while only the running [`CampaignStats`] counters
-    /// stay resident, so a million-trial run holds a few dozen bytes of
-    /// state. Every record is keyed by trial index and seed exactly as
+    /// and the fold state (ledger and priority clock) stay resident.
+    /// Every record is keyed by trial index and seed exactly as
     /// [`Campaign::run_checkpointed`] would record it, and outcomes are
     /// derived from the same index-keyed seeds as
     /// [`Campaign::run_parallel`], so the streamed records and the
     /// in-memory run agree byte for byte.
+    ///
+    /// With `adaptive` set, trials run the adaptive session and the
+    /// ledger folds after every trial instead of every round, so a
+    /// board sheds the maximum work; records then carry the `dropped` /
+    /// `escalation` counters.
     ///
     /// `budget` layers admission control on top of the campaign's own
     /// configuration: when the token (typically a per-client child of a
@@ -354,6 +382,7 @@ impl Campaign {
         &self,
         trials: &[Trial],
         budget: Option<&CancelToken>,
+        adaptive: bool,
         mut emit: impl FnMut(&CheckpointEntry),
     ) -> CampaignStats {
         let own = if budget.is_none() {
@@ -362,22 +391,14 @@ impl Campaign {
             None
         };
         let budget = budget.or(own.as_ref());
+        let mut fold = TrialFold::new(self.wires());
         let mut stats = CampaignStats::default();
         for (index, trial) in trials.iter().enumerate() {
-            let seed = index as u64;
-            let (outcome, failure, shed) = match self.run_trial_attempts(*trial, seed, budget, None) {
-                Ok(outcome) => (outcome, None, None),
-                Err(TrialAbort::Failed { attempts, error }) => (
-                    TrialOutcome::Failed,
-                    Some(TrialFailure { index, seed, attempts, error }),
-                    None,
-                ),
-                Err(TrialAbort::Shed(reason)) => {
-                    (TrialOutcome::Shed, None, Some(TrialShed { index, seed, reason }))
-                }
-            };
-            stats.accumulate(outcome);
-            emit(&CheckpointEntry { index, seed, outcome, failure, shed, dropped: 0, escalation: 0 });
+            let session = if adaptive { fold.adaptive() } else { Session::Exhaustive };
+            let attempt = self.run_attempts(*trial, index, budget, session, None);
+            let entry = fold.fold(index, attempt);
+            stats.accumulate(entry.outcome);
+            emit(&entry);
         }
         stats
     }
@@ -408,63 +429,30 @@ impl Campaign {
     ) -> CampaignRun {
         let pending: Vec<(usize, Trial)> = trials
             .iter()
+            .copied()
             .enumerate()
             .filter(|(i, _)| checkpoint.entry_for(*i, *i as u64).is_none())
-            .map(|(i, t)| (i, *t))
             .collect();
-        let pool = Pool::new(threads);
-        let max_attempts = self.retry_policy().max_attempts.max(1);
-        let budget_token = self.campaign_budget().map(CancelToken::with_deadline);
-        let memo = DetectorMemo::new();
-        for batch in pending.chunks(snapshot_every.max(1)) {
-            let results = pool.try_map(batch, |_, (index, trial)| {
-                self.run_trial_attempts(*trial, *index as u64, budget_token.as_ref(), Some(&memo))
-            });
-            for ((index, _), result) in batch.iter().zip(results) {
-                let seed = *index as u64;
-                let (outcome, failure, shed) = match result {
-                    Ok(Ok(outcome)) => (outcome, None, None),
-                    Ok(Err(TrialAbort::Failed { attempts, error })) => (
-                        TrialOutcome::Failed,
-                        Some(TrialFailure { index: *index, seed, attempts, error }),
-                        None,
-                    ),
-                    Ok(Err(TrialAbort::Shed(reason))) => (
-                        TrialOutcome::Shed,
-                        None,
-                        Some(TrialShed { index: *index, seed, reason }),
-                    ),
-                    Err(panic) => (
-                        TrialOutcome::Failed,
-                        Some(TrialFailure {
-                            index: *index,
-                            seed,
-                            attempts: max_attempts,
-                            error: panic.message,
-                        }),
-                        None,
-                    ),
-                };
-                checkpoint.record(CheckpointEntry { index: *index, seed, outcome, failure, shed, dropped: 0, escalation: 0 });
+        // Exhaustive sessions detect no pairs: the fold state only
+        // carries the entries over into this checkpoint's format.
+        let mut state = AdaptiveCheckpoint::new(self.wires());
+        let exhaustive = |_: &TrialFold| Session::Exhaustive;
+        self.run_batch(&pending, threads, snapshot_every, exhaustive, &mut state, |_, entries| {
+            for entry in entries {
+                checkpoint.record(entry);
             }
             sink(checkpoint);
-        }
-        let mut outcomes = Vec::with_capacity(trials.len());
-        let mut failures = Vec::new();
-        let mut shed = Vec::new();
-        for index in 0..trials.len() {
-            let entry = checkpoint
-                .entry_for(index, index as u64)
-                .expect("every pending trial was just recorded");
-            outcomes.push(entry.outcome);
-            if let Some(failure) = &entry.failure {
-                failures.push(failure.clone());
-            }
-            if let Some(record) = entry.shed {
-                shed.push(record);
-            }
-        }
-        CampaignRun { stats: CampaignStats::tally(&outcomes), outcomes, failures, shed }
+        });
+        let run = assemble(
+            (0..trials.len()).map(|index| {
+                checkpoint
+                    .entry_for(index, index as u64)
+                    .expect("every pending trial was just recorded")
+            }),
+            state.fold(),
+        );
+        let AdaptiveRun { stats, outcomes, failures, shed, .. } = run;
+        CampaignRun { stats, outcomes, failures, shed }
     }
 }
 
@@ -492,7 +480,7 @@ mod tests {
             outcome: TrialOutcome::Detected { noise: true, skew: false },
             failure: None,
             shed: None,
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         checkpoint.record(CheckpointEntry {
@@ -506,7 +494,7 @@ mod tests {
                 error: "injected fault: sabotaged trial".into(),
             }),
             shed: None,
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         checkpoint.record(CheckpointEntry {
@@ -519,7 +507,7 @@ mod tests {
                 seed: 3,
                 reason: ShedReason::Deadline { step: 64 },
             }),
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         checkpoint.record(CheckpointEntry {
@@ -528,7 +516,7 @@ mod tests {
             outcome: TrialOutcome::Shed,
             failure: None,
             shed: Some(TrialShed { index: 4, seed: 4, reason: ShedReason::Budget }),
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         let rendered = checkpoint.to_json().render();
@@ -581,7 +569,7 @@ mod tests {
             outcome: TrialOutcome::CleanPass,
             failure: None,
             shed: None,
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         });
         assert!(checkpoint.entry_for(3, 3).is_some());
@@ -632,7 +620,7 @@ mod tests {
         let campaign = Campaign::new(3);
         let batch = trials();
         let mut streamed: Vec<CheckpointEntry> = Vec::new();
-        let stats = campaign.run_streaming(&batch, None, |entry| streamed.push(entry.clone()));
+        let stats = campaign.run_streaming(&batch, None, false, |entry| streamed.push(entry.clone()));
 
         // Same outcomes, failures and stats as the in-memory engine.
         let reference = campaign.run(&batch);
@@ -662,7 +650,7 @@ mod tests {
         let fleet = CancelToken::new();
         let client = fleet.child_with_deadline(std::time::Duration::ZERO);
         let mut entries = 0usize;
-        let stats = campaign.run_streaming(&batch, Some(&client), |entry| {
+        let stats = campaign.run_streaming(&batch, Some(&client), false, |entry| {
             assert_eq!(entry.outcome, TrialOutcome::Shed);
             assert!(matches!(
                 entry.shed,
@@ -683,7 +671,7 @@ mod tests {
             outcome: TrialOutcome::Shed,
             failure: None,
             shed: Some(TrialShed { index: 5, seed: 5, reason: ShedReason::Deadline { step: 9 } }),
-                    dropped: 0,
+            dropped: 0,
             escalation: 0,
         };
         let parsed = CheckpointEntry::from_json(&entry.to_json()).unwrap();

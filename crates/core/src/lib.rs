@@ -67,9 +67,11 @@ pub mod timing;
 
 pub use campaign::{
     AttemptOutcome, Campaign, CampaignRun, CampaignStats, RetryPolicy, ShedReason, Trial,
-    TrialOutcome, TrialShed,
+    TrialAttempt, TrialOutcome, TrialShed,
 };
-pub use adaptive::{AdaptiveCheckpoint, AdaptiveConfig, AdaptiveDelta, AdaptiveRun, FaultPriority};
+pub use adaptive::{
+    AdaptiveCheckpoint, AdaptiveConfig, AdaptiveDelta, AdaptiveRun, FaultPriority, TrialFold,
+};
 pub use checkpoint::CampaignCheckpoint;
 pub use cost::MethodPlanner;
 pub use degrade::{ChainPolicy, DegradationEvent, DegradedOutcome};

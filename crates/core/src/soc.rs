@@ -1041,127 +1041,115 @@ impl Soc {
     /// Runs the full signal-integrity test algorithm (Figs 8 and 12)
     /// and returns the report.
     ///
+    /// On a damaged chain whose [`ChainPolicy`] degrades, the same
+    /// two-half campaign runs over the healthy wires only: because the
+    /// survivors may be non-contiguous, every victim scans the full
+    /// select word instead of riding the 1-bit rotation, quarantined
+    /// verdict bits are masked, and the report carries the
+    /// [`DegradedOutcome`].
+    ///
     /// # Errors
     ///
     /// [`CoreError::BadConfig`] for a non-positive settle time or
     /// timestep; [`CoreError::Infrastructure`] when the pre-session
-    /// chain self-check finds the scan infrastructure faulty; substrate
-    /// errors are propagated.
+    /// chain self-check finds the scan infrastructure faulty (and the
+    /// policy refuses it); substrate errors are propagated.
     pub fn run_integrity_test(
         &mut self,
         config: &SessionConfig,
     ) -> Result<IntegrityReport, CoreError> {
-        if config.settle_time <= 0.0 || config.dt <= 0.0 {
-            return Err(CoreError::config("settle time and dt must be positive"));
-        }
-        self.quarantine = None;
-        self.degradation_events.clear();
-        let qualification = self.qualify_chain()?;
-        if !qualification.healthy() {
-            return self.run_degraded(config, qualification);
-        }
-        self.select_sim(config)?;
-        self.driver.reset();
-        self.clear_detectors()?;
-        self.patterns_applied = 0;
+        let (victims, rotate, degraded) = self.begin_session(config)?;
         let tck_start = self.driver.tck();
-
         let mut readouts = Vec::new();
-        let n = self.wires;
         for initial in [DriveLevel::Low, DriveLevel::High] {
-            // Preload the initial value into every update stage.
-            self.driver.load_instruction("SAMPLE/PRELOAD")?;
-            let word = self.uniform_word(initial);
-            self.driver.scan_dr(&word)?;
-            self.apply_bus_state()?;
-            // Enter signal-integrity mode; the pattern stages now drive
-            // the bus with the initial value (the baseline state the
-            // first Update-DR transitions away from).
-            self.driver.load_instruction("G-SITEST")?;
-            self.apply_bus_state()?;
-            for victim in 0..n {
-                // Pattern 1 of this victim rides on the trailing
-                // Update-DR of the select scan / rotation shift.
-                if victim == 0 {
-                    let word = self.victim_select_word(0)?;
-                    self.driver.scan_dr(&word)?;
-                } else {
-                    let one = BitVector::zeros(1);
-                    self.driver.shift_dr_bits(&one)?;
-                }
-                self.apply_bus_state()?;
-                self.per_pattern_readout(config, initial, victim, 0, &mut readouts)?;
-                for p in 1..3usize {
-                    self.driver.pulse_update_dr(1)?;
+            self.start_half(initial)?;
+            let faults = IntegrityFault::covered_by_initial(initial);
+            for (pos, &victim) in victims.iter().enumerate() {
+                for (p, &fault) in faults.iter().enumerate() {
+                    // Pattern 1 of a victim rides on the trailing
+                    // Update-DR of its select scan / rotation shift.
+                    if p == 0 {
+                        self.select_victim(pos, victim, rotate)?;
+                    } else {
+                        self.driver.pulse_update_dr(1)?;
+                    }
                     self.apply_bus_state()?;
-                    self.per_pattern_readout(config, initial, victim, p, &mut readouts)?;
+                    if config.method != ObservationMethod::PerPattern {
+                        continue;
+                    }
+                    let point = ReadoutPoint::AfterPattern { initial, victim, fault };
+                    readouts.push(self.masked_readout(point)?);
+                    // Resume unless this was the last pattern of the
+                    // half (the next half re-preloads everything).
+                    if pos + 1 < victims.len() || p < 2 {
+                        self.resume(victim)?;
+                    }
                 }
             }
             if config.method == ObservationMethod::PerInitialValue {
-                readouts.push(self.readout(ReadoutPoint::AfterInitialValue(initial))?);
+                readouts.push(self.masked_readout(ReadoutPoint::AfterInitialValue(initial))?);
             }
         }
         if config.method == ObservationMethod::Once {
-            readouts.push(self.readout(ReadoutPoint::Final)?);
+            readouts.push(self.masked_readout(ReadoutPoint::Final)?);
         }
-        self.flush_pending()?;
-
-        let tck_used = self.driver.tck() - tck_start;
-        Ok(IntegrityReport::new(
-            config.method,
-            n,
-            readouts,
-            tck_used,
-            self.patterns_applied,
-        ))
+        self.finish_report(config.method, readouts, tck_start, degraded)
     }
 
-    fn per_pattern_readout(
+    /// Ends a session: observes any deferred patterns and assembles the
+    /// report, with the damaged-chain record when the session ran
+    /// degraded.
+    fn finish_report(
         &mut self,
-        config: &SessionConfig,
-        initial: DriveLevel,
-        victim: usize,
-        pattern_index: usize,
-        readouts: &mut Vec<ReadoutRecord>,
-    ) -> Result<(), CoreError> {
-        if config.method != ObservationMethod::PerPattern {
-            return Ok(());
-        }
-        let fault = IntegrityFault::covered_by_initial(initial)[pattern_index];
-        readouts.push(self.readout(ReadoutPoint::AfterPattern { initial, victim, fault })?);
-        // Resume unless this was the last pattern of the half (the next
-        // half re-preloads everything anyway).
-        let last_of_half = victim == self.wires - 1 && pattern_index == 2;
-        if !last_of_half {
-            self.resume(victim)?;
+        method: ObservationMethod,
+        readouts: Vec<ReadoutRecord>,
+        tck_start: u64,
+        degraded: Option<DegradedOutcome>,
+    ) -> Result<IntegrityReport, CoreError> {
+        self.flush_pending()?;
+        let tck_used = self.driver.tck() - tck_start;
+        let report =
+            IntegrityReport::new(method, self.wires, readouts, tck_used, self.patterns_applied);
+        Ok(match degraded {
+            Some(outcome) => report.with_degradation(outcome),
+            None => report,
+        })
+    }
+
+    /// Preloads `initial` into every update stage and enters
+    /// signal-integrity mode: the pattern stages then drive the bus
+    /// with the initial value, the baseline state the first Update-DR
+    /// transitions away from.
+    fn start_half(&mut self, initial: DriveLevel) -> Result<(), CoreError> {
+        self.driver.load_instruction("SAMPLE/PRELOAD")?;
+        let word = self.uniform_word(initial);
+        self.driver.scan_dr(&word)?;
+        self.apply_bus_state()?;
+        self.driver.load_instruction("G-SITEST")?;
+        self.apply_bus_state()
+    }
+
+    /// Makes `victim` (at roster position `pos`) the victim: a full
+    /// select-word scan for the first victim or when the roster does
+    /// not `rotate`, otherwise the 1-bit rotation shift.
+    fn select_victim(&mut self, pos: usize, victim: usize, rotate: bool) -> Result<(), CoreError> {
+        if pos == 0 || !rotate {
+            let word = self.victim_select_word(victim)?;
+            self.driver.scan_dr(&word)?;
+        } else {
+            self.driver.shift_dr_bits(&BitVector::zeros(1))?;
         }
         Ok(())
     }
 
-    /// The damaged-chain path of [`Soc::run_integrity_test`]: applies
-    /// [`ChainPolicy`], localizes the break, quarantines the affected
-    /// wires and — when enough coverage survives — runs the partial
-    /// session, attaching the full [`DegradedOutcome`] to the report.
-    fn run_degraded(
-        &mut self,
-        config: &SessionConfig,
-        qualification: ChainCheckReport,
-    ) -> Result<IntegrityReport, CoreError> {
-        let (localization, coverage, events) = self.apply_degradation_policy(qualification)?;
-        let report = self.run_degraded_session(config)?;
-        Ok(report.with_degradation(DegradedOutcome { localization, coverage, events }))
-    }
-
-    /// The policy/localization/quarantine half of the damaged-chain
-    /// path, shared by [`Soc::run_integrity_test`] and the adaptive
-    /// sessions: checks [`ChainPolicy`], localizes the break, installs
-    /// the quarantine and the concession trail on `self`, and enforces
-    /// the coverage floor. Returns the pieces of the eventual
-    /// [`DegradedOutcome`].
+    /// The damaged-chain path of [`Soc::begin_session`]: checks
+    /// [`ChainPolicy`], localizes the break, installs the quarantine
+    /// and the concession trail on `self`, and enforces the coverage
+    /// floor. Returns the [`DegradedOutcome`] the report will carry.
     fn apply_degradation_policy(
         &mut self,
         qualification: ChainCheckReport,
-    ) -> Result<(FaultLocalization, CoverageReport, Vec<DegradationEvent>), CoreError> {
+    ) -> Result<DegradedOutcome, CoreError> {
         let min_coverage = match self.policy {
             ChainPolicy::Strict => {
                 return Err(CoreError::Infrastructure(InfrastructureDiagnosis {
@@ -1215,7 +1203,7 @@ impl Soc {
         }
         self.quarantine = Some(localization.quarantine.clone());
         self.degradation_events = events.clone();
-        Ok((localization, coverage, events))
+        Ok(DegradedOutcome { localization, coverage, events })
     }
 
     /// Runs the walking-one probe (see
@@ -1238,64 +1226,6 @@ impl Soc {
         Ok(result?)
     }
 
-    /// The partial session over the healthy wires: the same two-half
-    /// PGBSC campaign as the healthy path, except that only healthy
-    /// wires take the victim role — and because the survivors may be
-    /// non-contiguous, every round scans the full victim-select word
-    /// instead of riding the 1-bit rotation.
-    fn run_degraded_session(
-        &mut self,
-        config: &SessionConfig,
-    ) -> Result<IntegrityReport, CoreError> {
-        self.select_sim(config)?;
-        self.driver.reset();
-        self.clear_detectors()?;
-        self.patterns_applied = 0;
-        let victims = match &self.quarantine {
-            Some(q) => q.healthy_wires(),
-            None => (0..self.wires).collect(),
-        };
-        let tck_start = self.driver.tck();
-
-        let mut readouts = Vec::new();
-        for initial in [DriveLevel::Low, DriveLevel::High] {
-            self.driver.load_instruction("SAMPLE/PRELOAD")?;
-            let word = self.uniform_word(initial);
-            self.driver.scan_dr(&word)?;
-            self.apply_bus_state()?;
-            self.driver.load_instruction("G-SITEST")?;
-            self.apply_bus_state()?;
-            for (round, &victim) in victims.iter().enumerate() {
-                let word = self.victim_select_word(victim)?;
-                self.driver.scan_dr(&word)?;
-                self.apply_bus_state()?;
-                let last_victim = round == victims.len() - 1;
-                self.degraded_readout(config, initial, victim, 0, last_victim, &mut readouts)?;
-                for p in 1..3usize {
-                    self.driver.pulse_update_dr(1)?;
-                    self.apply_bus_state()?;
-                    self.degraded_readout(config, initial, victim, p, last_victim, &mut readouts)?;
-                }
-            }
-            if config.method == ObservationMethod::PerInitialValue {
-                readouts.push(self.masked_readout(ReadoutPoint::AfterInitialValue(initial))?);
-            }
-        }
-        if config.method == ObservationMethod::Once {
-            readouts.push(self.masked_readout(ReadoutPoint::Final)?);
-        }
-        self.flush_pending()?;
-
-        let tck_used = self.driver.tck() - tck_start;
-        Ok(IntegrityReport::new(
-            config.method,
-            self.wires,
-            readouts,
-            tck_used,
-            self.patterns_applied,
-        ))
-    }
-
     /// A read-out with quarantined wires' verdict bits forced clear:
     /// their scan-outs cross (or their detectors sit behind) the broken
     /// segment, so whatever arrives cannot be trusted either way.
@@ -1310,31 +1240,6 @@ impl Soc {
             }
         }
         Ok(record)
-    }
-
-    /// Per-pattern read-out for the degraded loop: like
-    /// [`Soc::per_pattern_readout`] but masked, and "last pattern of
-    /// the half" means the last *healthy* victim's third pattern.
-    fn degraded_readout(
-        &mut self,
-        config: &SessionConfig,
-        initial: DriveLevel,
-        victim: usize,
-        pattern_index: usize,
-        last_victim: bool,
-        readouts: &mut Vec<ReadoutRecord>,
-    ) -> Result<(), CoreError> {
-        if config.method != ObservationMethod::PerPattern {
-            return Ok(());
-        }
-        let fault = IntegrityFault::covered_by_initial(initial)[pattern_index];
-        readouts
-            .push(self.masked_readout(ReadoutPoint::AfterPattern { initial, victim, fault })?);
-        let last_of_half = last_victim && pattern_index == 2;
-        if !last_of_half {
-            self.resume(victim)?;
-        }
-        Ok(())
     }
 
     /// The observation method the cost model picks for this SoC's
@@ -1368,21 +1273,11 @@ impl Soc {
     ) -> Result<Vec<bool>, CoreError> {
         debug_assert!(probes.last() == Some(&stop), "probe schedule must end at the stop");
         debug_assert!(probes.windows(2).all(|w| w[0] < w[1]), "probes must ascend");
-        self.driver.load_instruction("SAMPLE/PRELOAD")?;
-        let word = self.uniform_word(initial);
-        self.driver.scan_dr(&word)?;
-        self.apply_bus_state()?;
-        self.driver.load_instruction("G-SITEST")?;
-        self.apply_bus_state()?;
+        self.start_half(initial)?;
         let mut flags = Vec::with_capacity(probes.len());
         let mut next_probe = 0usize;
         for (pos, &victim) in victims.iter().enumerate().take(stop.0 + 1) {
-            if pos == 0 || !rotate {
-                let word = self.victim_select_word(victim)?;
-                self.driver.scan_dr(&word)?;
-            } else {
-                self.driver.shift_dr_bits(&BitVector::zeros(1))?;
-            }
+            self.select_victim(pos, victim, rotate)?;
             self.apply_bus_state()?;
             self.probe_if_scheduled(initial, victim, (pos, 0), probes, &mut next_probe, &mut flags, readouts)?;
             let last_pattern = if pos == stop.0 { stop.1 } else { 2 };
@@ -1424,17 +1319,14 @@ impl Soc {
         Ok(())
     }
 
-    /// Session preamble shared by the adaptive paths: policy handling
-    /// for an unhealthy chain, victim roster, solver selection, driver
-    /// reset and detector clear.
-    #[allow(clippy::type_complexity)]
-    fn begin_adaptive_session(
+    /// Session preamble shared by every session path: configuration
+    /// check, chain qualification (and policy handling for an unhealthy
+    /// chain), the victim roster and whether it rotates, solver
+    /// selection, driver reset and detector clear.
+    fn begin_session(
         &mut self,
         config: &SessionConfig,
-    ) -> Result<
-        (Vec<usize>, bool, Option<(FaultLocalization, CoverageReport, Vec<DegradationEvent>)>),
-        CoreError,
-    > {
+    ) -> Result<(Vec<usize>, bool, Option<DegradedOutcome>), CoreError> {
         if config.settle_time <= 0.0 || config.dt <= 0.0 {
             return Err(CoreError::config("settle time and dt must be positive"));
         }
@@ -1468,12 +1360,11 @@ impl Soc {
         config: &SessionConfig,
         mut readouts: Vec<ReadoutRecord>,
         tck_start: u64,
-        degraded: Option<(FaultLocalization, CoverageReport, Vec<DegradationEvent>)>,
+        degraded: Option<DegradedOutcome>,
         detected: std::collections::BTreeSet<(usize, IntegrityFault)>,
         dropped: u64,
         escalations: u64,
     ) -> Result<AdaptiveSessionOutcome, CoreError> {
-        self.flush_pending()?;
         let n = self.wires;
         let mut nd = vec![false; n];
         let mut sd = vec![false; n];
@@ -1484,14 +1375,8 @@ impl Soc {
             }
         }
         readouts.push(ReadoutRecord { point: ReadoutPoint::Final, nd, sd });
-        let tck_used = self.driver.tck() - tck_start;
-        let mut report =
-            IntegrityReport::new(config.method, n, readouts, tck_used, self.patterns_applied);
-        if let Some((localization, coverage, events)) = degraded {
-            report = report.with_degradation(DegradedOutcome { localization, coverage, events });
-        }
         Ok(AdaptiveSessionOutcome {
-            report,
+            report: self.finish_report(config.method, readouts, tck_start, degraded)?,
             detected: detected.into_iter().collect(),
             dropped,
             escalations,
@@ -1526,7 +1411,7 @@ impl Soc {
         ledger: &CoverageLedger,
         half_order: [DriveLevel; 2],
     ) -> Result<AdaptiveSessionOutcome, CoreError> {
-        let (victims, rotate, degraded) = self.begin_adaptive_session(config)?;
+        let (victims, rotate, degraded) = self.begin_session(config)?;
         let tck_start = self.driver.tck();
         let mut readouts = Vec::new();
         let mut detected = std::collections::BTreeSet::new();
@@ -1622,7 +1507,7 @@ impl Soc {
         &mut self,
         config: &SessionConfig,
     ) -> Result<AdaptiveSessionOutcome, CoreError> {
-        let (victims, rotate, degraded) = self.begin_adaptive_session(config)?;
+        let (victims, rotate, degraded) = self.begin_session(config)?;
         let tck_start = self.driver.tck();
         let mut readouts = Vec::new();
         let mut detected = std::collections::BTreeSet::new();

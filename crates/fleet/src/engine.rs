@@ -432,11 +432,8 @@ impl FleetEngine {
                                 sink_errors.set(sink_errors.get() + 1);
                             }
                         };
-                        let stats = if self.spec.is_adaptive() {
-                            campaign.run_streaming_adaptive(&trials, budget, emit)
-                        } else {
-                            campaign.run_streaming(&trials, budget, emit)
-                        };
+                        let stats =
+                            campaign.run_streaming(&trials, budget, self.spec.is_adaptive(), emit);
                         let report =
                             BoardReport { sink_errors: sink_errors.get(), ..BoardReport::default() };
                         (stats, report, totals.get())

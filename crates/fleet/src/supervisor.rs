@@ -3,7 +3,8 @@
 //!
 //! A [`BoardSupervisor`] wraps one board's campaign in the fleet's
 //! resilience policy. Every trial attempt runs through
-//! `Campaign::run_trial_isolated`, so each attempt ends in exactly one
+//! `Campaign::run_trial_isolated`, and every finished trial folds
+//! through the board's `TrialFold`, so each attempt ends in exactly one
 //! of four classes — a verdict, a schedule shed, an **infrastructure
 //! failure** (chain self-check refusal, harness panic, wedged solver),
 //! or a plain error. Infrastructure failures drive two deterministic
@@ -47,10 +48,9 @@ use crate::engine::AdaptiveTotals;
 use crate::error::FleetError;
 use crate::record::{trial_record, RecordSink};
 use crate::spec::BoardSpec;
-use sint_core::adaptive::AdaptiveDelta;
+use sint_core::adaptive::TrialFold;
 use sint_core::campaign::{
-    AttemptOutcome, Campaign, CampaignStats, ShedReason, Trial, TrialFailure, TrialOutcome,
-    TrialSabotage, TrialShed,
+    AttemptOutcome, Campaign, CampaignStats, ShedReason, Trial, TrialAttempt, TrialSabotage,
 };
 use sint_core::checkpoint::CheckpointEntry;
 use sint_core::mafm::CoverageLedger;
@@ -297,16 +297,6 @@ enum SinkDisruption {
     Disk(DiskFault),
 }
 
-/// How one attempt was classified for the resilience machines. A
-/// verdict from an adaptive attempt carries the [`AdaptiveDelta`] the
-/// caller folds into the board's ledger.
-enum Classified {
-    Verdict(TrialOutcome, Option<AdaptiveDelta>),
-    Shed(ShedReason),
-    Infra(String),
-    Plain(String),
-}
-
 /// Mutable per-board state: counters, the record spool, and the stats
 /// the engine folds. Strictly local to one board's job — the
 /// determinism invariant forbids any cross-board mutability.
@@ -352,11 +342,11 @@ impl<'a> BoardSupervisor<'a> {
     }
 
     /// Switches every supervised board to the adaptive campaign engine:
-    /// attempts run [`Campaign::run_adaptive_trial_isolated`] against a
-    /// per-board [`CoverageLedger`], verdicts fold their
-    /// [`AdaptiveDelta`] into it, and trial records carry the
-    /// `dropped` / `escalation` counters. The ledger is strictly
-    /// per-board and folds serially, so determinism is untouched.
+    /// attempts run the adaptive session against a per-board
+    /// [`TrialFold`] (coverage ledger plus priority clock), verdicts
+    /// fold their detections into it, and trial records carry the
+    /// `dropped` / `escalation` counters. The fold is strictly
+    /// per-board and serial, so determinism is untouched.
     #[must_use]
     pub fn adaptive(mut self, adaptive: bool) -> BoardSupervisor<'a> {
         self.adaptive = adaptive;
@@ -369,7 +359,7 @@ impl<'a> BoardSupervisor<'a> {
     }
 
     /// Runs one attempt, chaos-transformed, and classifies the result.
-    /// `ledger` is the board's adaptive context (coverage ledger plus
+    /// `adaptive` is the board's adaptive context (coverage ledger plus
     /// the half order the priority clock picked); `None` runs the
     /// conventional exhaustive trial.
     fn attempt(
@@ -378,8 +368,8 @@ impl<'a> BoardSupervisor<'a> {
         trial: &Trial,
         index: usize,
         attempt: usize,
-        ledger: Option<(&CoverageLedger, [DriveLevel; 2])>,
-    ) -> Classified {
+        adaptive: Option<(&CoverageLedger, [DriveLevel; 2])>,
+    ) -> TrialAttempt {
         let fault = match self.chaos.and_then(|c| c.fault_on_attempt(board.id, index, attempt)) {
             // Sink and disk faults hit the result path, never the
             // trial itself.
@@ -388,41 +378,54 @@ impl<'a> BoardSupervisor<'a> {
         };
         let seed = (index as u64)
             .wrapping_add((attempt as u64).wrapping_mul(self.campaign.retry_policy().seed_stride));
-        let run = |campaign: &Campaign, trial: Trial| match ledger {
-            Some((ledger, order)) => campaign.run_adaptive_trial_isolated(trial, seed, ledger, order),
-            None => (campaign.run_trial_isolated(trial, seed), None),
-        };
-        let (outcome, delta) = match fault {
-            None => run(self.campaign, *trial),
+        let mut result = match fault {
+            None => self.campaign.run_trial_isolated(*trial, seed, adaptive),
             Some(ChaosKind::Scan) => {
                 let chain_fault = self.chaos.map_or(
                     sint_jtag::fault::ScanFault::StuckAtZero { link: 0 },
                     |c| c.scan_fault(board.id),
                 );
-                run(self.campaign, Trial::chain_faulted(trial.defect, chain_fault))
+                let faulted = Trial::chain_faulted(trial.defect, chain_fault);
+                self.campaign.run_trial_isolated(faulted, seed, adaptive)
             }
             Some(ChaosKind::Panic) => {
-                run(self.campaign, Trial { defect: trial.defect, sabotage: TrialSabotage::Panic })
+                let panicking = Trial { defect: trial.defect, sabotage: TrialSabotage::Panic };
+                self.campaign.run_trial_isolated(panicking, seed, adaptive)
             }
             Some(ChaosKind::Wedge | ChaosKind::Sink | ChaosKind::Disk) => {
-                run(&self.wedged, Trial { defect: trial.defect, sabotage: TrialSabotage::Wedge })
+                let wedged = Trial { defect: trial.defect, sabotage: TrialSabotage::Wedge };
+                self.wedged.run_trial_isolated(wedged, seed, adaptive)
             }
         };
-        match outcome {
-            AttemptOutcome::Verdict(v) => Classified::Verdict(v, delta),
-            // A chaos wedge ends as a deadline shed mechanically, but it
-            // *is* an apparatus fault — reclassify so the breaker sees it.
-            AttemptOutcome::Shed(ShedReason::Deadline { step })
-                if matches!(fault, Some(ChaosKind::Wedge)) =>
-            {
-                Classified::Infra(format!(
-                    "solver wedged: deadline exceeded (cancelled at solver step {step})"
-                ))
-            }
-            AttemptOutcome::Shed(reason) => Classified::Shed(reason),
-            AttemptOutcome::Infrastructure { error } => Classified::Infra(error),
-            AttemptOutcome::Error { error } => Classified::Plain(error),
+        // A chaos wedge ends as a deadline shed mechanically, but it
+        // *is* an apparatus fault — reclassify so the breaker sees it.
+        if let (AttemptOutcome::Shed(ShedReason::Deadline { step }), Some(ChaosKind::Wedge)) =
+            (&result.outcome, fault)
+        {
+            result.outcome = AttemptOutcome::Infrastructure {
+                error: format!("solver wedged: deadline exceeded (cancelled at solver step {step})"),
+            };
         }
+        result
+    }
+
+    /// The half-open state of a tripped breaker: up to `probes`
+    /// chain-only self-checks, each after a backoff wait. `true` when
+    /// one passes and the board is re-admitted.
+    fn readmit(&self, board: &BoardSpec, report: &mut BoardReport, clock: &mut VirtualClock) -> bool {
+        for probe in 0..self.config.probes.max(1) {
+            let stream = PROBE_STREAM + report.breaker_trips;
+            clock.advance(self.config.backoff.delay(board.seed, stream, probe + 1));
+            report.probes += 1;
+            let probe_fault = match self.chaos {
+                Some(c) if !c.probe_clears(board.id) => Some(c.scan_fault(board.id)),
+                _ => None,
+            };
+            if probe_chain(self.wires, probe_fault).is_ok() {
+                return true;
+            }
+        }
+        false
     }
 
     /// Runs the board's whole campaign under supervision, streaming
@@ -447,17 +450,14 @@ impl<'a> BoardSupervisor<'a> {
         let mut consecutive = 0usize;
         let mut breaker = BreakerState::Closed;
         let max_attempts = self.config.backoff.max_attempts.max(1);
-        // The board's adaptive state: the coverage ledger that lets
+        // The board's campaign state: the coverage ledger that lets
         // later trials drop already-detected pairs, and the recency
         // clock that reorders pattern halves. Both fold serially in
         // trial order, so they never disturb determinism.
-        let mut ledger = CoverageLedger::new(self.wires);
-        let mut priority = sint_core::FaultPriority::default();
+        let mut fold = TrialFold::new(self.wires);
         let mut adaptive_totals = AdaptiveTotals::default();
-        let reorder = self.campaign.adaptive_config().reorder;
 
         for (index, trial) in trials.iter().enumerate() {
-            let seed = index as u64;
             let sink_fault = self.chaos.and_then(|c| match c.fault_at(board.id, index) {
                 Some(ChaosKind::Sink) => Some(SinkDisruption::Flat),
                 Some(ChaosKind::Disk) => {
@@ -465,127 +465,58 @@ impl<'a> BoardSupervisor<'a> {
                 }
                 _ => None,
             });
-            if breaker == BreakerState::Open {
-                let entry = shed_entry(index, seed, ShedReason::Quarantined);
-                self.emit(&mut st, board, client, sink, entry, sink_fault);
-                continue;
-            }
-            if let Some(token) = budget {
-                if token.poll_deadline() || token.is_cancelled() {
-                    let entry = shed_entry(index, seed, ShedReason::Budget);
-                    self.emit(&mut st, board, client, sink, entry, sink_fault);
-                    continue;
-                }
-            }
-
-            let mut entry = None;
-            let mut attempt = 0usize;
-            let mut attempts_made = 0usize;
-            let mut last_error = String::new();
-            while attempt < max_attempts {
-                let order = if reorder {
-                    priority.half_order()
-                } else {
-                    [DriveLevel::Low, DriveLevel::High]
-                };
-                let adaptive_ctx = self.adaptive.then_some((&ledger, order));
-                let classified = self.attempt(board, trial, index, attempt, adaptive_ctx);
-                clock.tick();
-                attempts_made = attempt + 1;
-                match classified {
-                    Classified::Verdict(outcome, delta) => {
-                        health = self.ewma(health, 1.0);
-                        consecutive = 0;
-                        let (dropped, escalation) = match delta {
-                            Some(delta) => {
-                                for (victim, fault) in delta.detected {
-                                    if ledger.record(victim, fault) {
-                                        priority.record(fault);
-                                    }
+            let shed = |reason| TrialAttempt::new(AttemptOutcome::Shed(reason), 0);
+            let result = if breaker == BreakerState::Open {
+                shed(ShedReason::Quarantined)
+            } else if budget.is_some_and(|token| token.poll_deadline() || token.is_cancelled()) {
+                shed(ShedReason::Budget)
+            } else {
+                let mut attempts = 0usize;
+                let result = loop {
+                    let adaptive = self.adaptive.then(|| (fold.ledger(), fold.half_order()));
+                    let mut result = self.attempt(board, trial, index, attempts, adaptive);
+                    clock.tick();
+                    attempts += 1;
+                    result.attempts = attempts;
+                    match result.outcome {
+                        AttemptOutcome::Verdict(_) => {
+                            health = self.ewma(health, 1.0);
+                            consecutive = 0;
+                            break result;
+                        }
+                        // A genuine schedule shed (budget mid-board, or
+                        // a real per-trial deadline) is never retried
+                        // and says nothing about the fixture.
+                        AttemptOutcome::Shed(_) => break result,
+                        // A plain error (bad config, solver
+                        // divergence…) retries but never dents fixture
+                        // health.
+                        AttemptOutcome::Error { .. } => {}
+                        AttemptOutcome::Infrastructure { .. } => {
+                            st.report.infra_failures += 1;
+                            health = self.ewma(health, 0.0);
+                            consecutive += 1;
+                            if consecutive >= self.config.trip_after.max(1) {
+                                st.report.breaker_trips += 1;
+                                if !self.readmit(board, &mut st.report, &mut clock) {
+                                    breaker = BreakerState::Open;
+                                    st.report.quarantined_at = Some(index);
+                                    break shed(ShedReason::Quarantined);
                                 }
-                                adaptive_totals.dropped += delta.dropped;
-                                adaptive_totals.escalation += delta.escalations;
-                                (delta.dropped, delta.escalations)
-                            }
-                            None => (0, 0),
-                        };
-                        entry = Some(CheckpointEntry {
-                            index,
-                            seed,
-                            outcome,
-                            failure: None,
-                            shed: None,
-                            dropped,
-                            escalation,
-                        });
-                        break;
-                    }
-                    // A genuine schedule shed (budget mid-board, or a
-                    // real per-trial deadline) is never retried and
-                    // says nothing about the fixture.
-                    Classified::Shed(reason) => {
-                        entry = Some(shed_entry(index, seed, reason));
-                        break;
-                    }
-                    // A plain error (bad config, solver divergence…)
-                    // retries but never dents fixture health.
-                    Classified::Plain(error) => last_error = error,
-                    Classified::Infra(error) => {
-                        st.report.infra_failures += 1;
-                        health = self.ewma(health, 0.0);
-                        consecutive += 1;
-                        last_error = error;
-                        if consecutive >= self.config.trip_after.max(1) {
-                            st.report.breaker_trips += 1;
-                            breaker = BreakerState::HalfOpen;
-                            for probe in 0..self.config.probes.max(1) {
-                                clock.advance(self.config.backoff.delay(
-                                    board.seed,
-                                    PROBE_STREAM + st.report.breaker_trips,
-                                    probe + 1,
-                                ));
-                                st.report.probes += 1;
-                                let probe_fault = match self.chaos {
-                                    Some(c) if !c.probe_clears(board.id) => {
-                                        Some(c.scan_fault(board.id))
-                                    }
-                                    _ => None,
-                                };
-                                if probe_chain(self.wires, probe_fault).is_ok() {
-                                    breaker = BreakerState::Closed;
-                                    consecutive = 0;
-                                    break;
-                                }
-                            }
-                            if breaker != BreakerState::Closed {
-                                breaker = BreakerState::Open;
-                                st.report.quarantined_at = Some(index);
-                                entry = Some(shed_entry(index, seed, ShedReason::Quarantined));
-                                break;
+                                consecutive = 0;
                             }
                         }
                     }
-                }
-                attempt += 1;
-                if attempt < max_attempts {
-                    clock.advance(self.config.backoff.delay(board.seed, index as u64, attempt));
-                }
-            }
-            st.report.retries += attempts_made.saturating_sub(1) as u64;
-            let entry = entry.unwrap_or_else(|| CheckpointEntry {
-                index,
-                seed,
-                outcome: TrialOutcome::Failed,
-                failure: Some(TrialFailure {
-                    index,
-                    seed,
-                    attempts: attempts_made,
-                    error: last_error.clone(),
-                }),
-                shed: None,
-                            dropped: 0,
-                escalation: 0,
-            });
+                    if attempts == max_attempts {
+                        break result;
+                    }
+                    clock.advance(self.config.backoff.delay(board.seed, index as u64, attempts));
+                };
+                st.report.retries += attempts.saturating_sub(1) as u64;
+                result
+            };
+            let entry = fold.fold(index, result);
+            adaptive_totals.absorb_entry(entry.dropped, entry.escalation);
             self.emit(&mut st, board, client, sink, entry, sink_fault);
         }
 
@@ -670,18 +601,6 @@ impl<'a> BoardSupervisor<'a> {
             st.report.sink_errors += 1;
             spool(st, entry, self.config.spool_limit);
         }
-    }
-}
-
-fn shed_entry(index: usize, seed: u64, reason: ShedReason) -> CheckpointEntry {
-    CheckpointEntry {
-        index,
-        seed,
-        outcome: TrialOutcome::Shed,
-        failure: None,
-        shed: Some(TrialShed { index, seed, reason }),
-            dropped: 0,
-        escalation: 0,
     }
 }
 

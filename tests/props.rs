@@ -4,6 +4,9 @@
 //! Each `#[test]` wraps one property; a failure panics with the harness
 //! seed, case index, and generated input so it can be replayed exactly.
 
+use sint::core::adaptive::{AdaptiveCheckpoint, AdaptiveConfig};
+use sint::core::campaign::{Campaign, ShedReason, Trial, TrialFailure, TrialOutcome, TrialShed};
+use sint::core::checkpoint::{CampaignCheckpoint, CheckpointEntry, CheckpointError};
 use sint::core::degrade::ChainPolicy;
 use sint::core::mafm::{
     classify_pair, classify_pair_masked, degraded_conventional_schedule, degraded_pgbsc_sequence,
@@ -29,7 +32,7 @@ use sint::fleet::{
 use sint::logic::{BitVector, Logic};
 use sint::runtime::backoff::BackoffPolicy;
 use sint::runtime::durable::{frame, scan_frames, GenPair};
-use sint::runtime::json::ToJson;
+use sint::runtime::json::{Json, ToJson};
 use sint::runtime::prop::{gen, Runner};
 use sint::runtime::rng::Rng64;
 
@@ -891,6 +894,277 @@ fn generation_pairs_survive_corruption_of_either_slot() {
             })();
             let _ = std::fs::remove_dir_all(&dir);
             result
+        },
+    );
+}
+
+// ---------------- Checkpoint parser hardening ----------------
+
+/// One corruption of a snapshot's bytes.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// Keep only the first `len` bytes (a strict prefix).
+    Truncate { len: usize },
+    /// Flip bit `bit` of byte `at`.
+    BitFlip { at: usize, bit: u8 },
+    /// Insert `byte` before byte `at`.
+    Insert { at: usize, byte: u8 },
+    /// Repeat member `member` of the `object`-th object (pre-order) at
+    /// member position `slot`: the same key twice in one object.
+    DuplicateKey { object: usize, member: usize, slot: usize },
+}
+
+fn arb_mutation(rng: &mut Rng64, len: usize) -> Mutation {
+    match gen::usize_in(rng, 0..4) {
+        0 => Mutation::Truncate { len: gen::usize_in(rng, 0..len) },
+        1 => {
+            let bit = gen::usize_in(rng, 0..8) as u8;
+            Mutation::BitFlip { at: gen::usize_in(rng, 0..len), bit }
+        }
+        2 => Mutation::Insert { at: gen::usize_in(rng, 0..len + 1), byte: rng.gen_u64() as u8 },
+        _ => Mutation::DuplicateKey {
+            object: gen::usize_in(rng, 0..usize::MAX),
+            member: gen::usize_in(rng, 0..usize::MAX),
+            slot: gen::usize_in(rng, 0..usize::MAX),
+        },
+    }
+}
+
+/// Repeats one member of the `target`-th non-empty object (pre-order):
+/// the member picked by `member`, inserted at position `slot`, both
+/// taken modulo the object's size.
+fn duplicate_member(
+    json: &mut Json,
+    seen: &mut usize,
+    target: usize,
+    member: usize,
+    slot: usize,
+) -> bool {
+    match json {
+        Json::Object(pairs) => {
+            if !pairs.is_empty() {
+                if *seen == target {
+                    let copy = pairs[member % pairs.len()].clone();
+                    pairs.insert(slot % (pairs.len() + 1), copy);
+                    return true;
+                }
+                *seen += 1;
+            }
+            pairs.iter_mut().any(|(_, v)| duplicate_member(v, seen, target, member, slot))
+        }
+        Json::Array(items) => {
+            items.iter_mut().any(|v| duplicate_member(v, seen, target, member, slot))
+        }
+        _ => false,
+    }
+}
+
+/// Non-empty objects in `json`, counted the way `duplicate_member` walks.
+fn count_objects(json: &Json) -> usize {
+    match json {
+        Json::Object(pairs) => {
+            usize::from(!pairs.is_empty()) + pairs.iter().map(|(_, v)| count_objects(v)).sum::<usize>()
+        }
+        Json::Array(items) => items.iter().map(count_objects).sum(),
+        _ => 0,
+    }
+}
+
+fn apply_mutation(text: &str, mutation: Mutation) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    match mutation {
+        Mutation::Truncate { len } => bytes.truncate(len),
+        Mutation::BitFlip { at, bit } => bytes[at] ^= 1 << bit,
+        Mutation::Insert { at, byte } => bytes.insert(at, byte),
+        Mutation::DuplicateKey { object, member, slot } => {
+            let mut json = Json::parse(text).expect("the generator renders valid JSON");
+            let objects = count_objects(&json);
+            duplicate_member(&mut json, &mut 0, object % objects.max(1), member, slot);
+            return json.render();
+        }
+    }
+    // Loaders read snapshots as text: a corrupted byte that breaks UTF-8
+    // reaches the parser as a replacement character.
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+fn arb_entry(rng: &mut Rng64, index: usize) -> CheckpointEntry {
+    let seed = index as u64;
+    let mut entry = CheckpointEntry {
+        index,
+        seed,
+        outcome: TrialOutcome::Shed,
+        failure: None,
+        shed: None,
+        dropped: 0,
+        escalation: 0,
+    };
+    match gen::usize_in(rng, 0..4) {
+        0 => {
+            entry.outcome = gen::one_of(
+                rng,
+                &[
+                    TrialOutcome::Detected { noise: true, skew: false },
+                    TrialOutcome::Detected { noise: false, skew: true },
+                    TrialOutcome::Missed,
+                    TrialOutcome::CleanPass,
+                    TrialOutcome::FalseAlarm,
+                ],
+            );
+            entry.dropped = gen::usize_in(rng, 0..40) as u64;
+            entry.escalation = gen::usize_in(rng, 0..4) as u64;
+        }
+        1 => {
+            entry.outcome = TrialOutcome::Failed;
+            // Escapes (quote, newline, tab) give flips more to break.
+            let error = gen::one_of(
+                rng,
+                &["injected fault: sabotaged trial", "chain \"stuck\" at link 3\n\tdead"],
+            );
+            let attempts = 1 + gen::usize_in(rng, 0..3);
+            entry.failure = Some(TrialFailure { index, seed, attempts, error: error.to_string() });
+        }
+        2 => {
+            let step = gen::usize_in(rng, 0..200);
+            entry.shed = Some(TrialShed { index, seed, reason: ShedReason::Deadline { step } });
+        }
+        _ => {
+            let reason = gen::one_of(rng, &[ShedReason::Budget, ShedReason::Quarantined]);
+            entry.shed = Some(TrialShed { index, seed, reason });
+        }
+    }
+    entry
+}
+
+/// Parses `text` with panics caught, so a panicking parser fails the
+/// property with its input instead of aborting the harness.
+fn parse_caught<T>(parse: impl Fn(&str) -> T, text: &str) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parse(text)))
+        .map_err(|_| format!("parser panicked on {text:?}"))
+}
+
+/// The verdict every mutation shares: a strict prefix or a repeated key
+/// is always corruption and must be refused with a typed error. A flip
+/// or an insertion inside a number or string can leave a well-formed
+/// snapshot (the format carries no checksum), so those must only never
+/// panic — and whatever parses must be a self-consistent snapshot.
+fn refused_if_corrupt<T: std::fmt::Debug>(
+    mutation: Mutation,
+    result: &Result<T, CheckpointError>,
+) -> Result<(), String> {
+    match (mutation, result) {
+        (Mutation::Truncate { .. }, Ok(parsed)) => {
+            Err(format!("a truncated snapshot parsed: {parsed:?}"))
+        }
+        (Mutation::DuplicateKey { .. }, Err(CheckpointError::Schema { reason })) => {
+            check(reason.contains("duplicate key"), || format!("wrong refusal: {reason}"))
+        }
+        (Mutation::DuplicateKey { .. }, other) => {
+            Err(format!("a repeated key was not refused: {other:?}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+#[test]
+fn corrupted_campaign_checkpoints_are_refused_with_typed_errors() {
+    Runner::new("campaign_checkpoint_mutations").cases(512).run(
+        |rng| {
+            let mut checkpoint = CampaignCheckpoint::new();
+            for index in 0..8 {
+                if gen::bool_any(rng) {
+                    checkpoint.record(arb_entry(rng, index));
+                }
+            }
+            let text = checkpoint.to_json().render();
+            let mutation = arb_mutation(rng, text.len());
+            (text, mutation)
+        },
+        |(text, mutation)| {
+            let valid = CampaignCheckpoint::parse(text).is_ok();
+            check(valid, || "the generator made an unparseable snapshot".into())?;
+            let corrupted = apply_mutation(text, *mutation);
+            let result = parse_caught(CampaignCheckpoint::parse, &corrupted)?;
+            refused_if_corrupt(*mutation, &result)?;
+            if let Ok(parsed) = result {
+                let again = CampaignCheckpoint::parse(&parsed.to_json().render());
+                check_eq(again, Ok(parsed))?;
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn corrupted_adaptive_checkpoints_are_refused_with_typed_errors() {
+    Runner::new("adaptive_checkpoint_mutations").cases(512).run(
+        |rng| {
+            // Snapshots that parse but do not fit the resumed batch — a
+            // round counter without its entries, a gap in the entries,
+            // a ledger of another width — are in the mix on purpose.
+            let wires = 2 + gen::usize_in(rng, 0..4);
+            let ledger_wires =
+                if gen::bool_any(rng) { wires } else { 2 + gen::usize_in(rng, 0..4) };
+            let mut ledger = CoverageLedger::new(ledger_wires);
+            for _ in 0..gen::usize_in(rng, 0..6) {
+                let victim = gen::usize_in(rng, 0..ledger_wires);
+                ledger.record(victim, gen::one_of(rng, &IntegrityFault::ALL));
+            }
+            let done = gen::usize_in(rng, 0..5);
+            let rounds_done = if gen::bool_any(rng) { done } else { gen::usize_in(rng, 0..9) };
+            let skip = if gen::bool_any(rng) { usize::MAX } else { gen::usize_in(rng, 0..5) };
+            let entries: Vec<Json> = (0..done)
+                .map(|i| arb_entry(rng, if i >= skip { i + 1 } else { i }).to_json())
+                .collect();
+            let last_hit: Vec<Json> = (0..6).map(|_| gen::usize_in(rng, 0..9).to_json()).collect();
+            let text = Json::obj([
+                ("version", 1u64.to_json()),
+                ("rounds_done", rounds_done.to_json()),
+                ("total_tck", gen::usize_in(rng, 0..100_000).to_json()),
+                ("ledger", ledger.to_json()),
+                (
+                    "priority",
+                    Json::obj([("clock", 8u64.to_json()), ("last_hit", Json::Array(last_hit))]),
+                ),
+                ("entries", Json::Array(entries)),
+            ])
+            .render();
+            let mutation = arb_mutation(rng, text.len());
+            (wires, text, mutation)
+        },
+        |(wires, text, mutation)| {
+            let valid = AdaptiveCheckpoint::parse(text).is_ok();
+            check(valid, || "the generator made an unparseable snapshot".into())?;
+            let corrupted = apply_mutation(text, *mutation);
+            let result = parse_caught(AdaptiveCheckpoint::parse, &corrupted)?;
+            refused_if_corrupt(*mutation, &result)?;
+            let Ok(mut parsed) = result else { return Ok(()) };
+            let again = AdaptiveCheckpoint::parse(&parsed.to_json().render());
+            check_eq(again.as_ref(), Ok(&parsed))?;
+            // Whatever parses must also resume without panicking: a
+            // snapshot that does not fit the batch is a typed error. The
+            // zero budget sheds every pending trial before it runs.
+            let campaign = Campaign::new(*wires)
+                .adaptive(AdaptiveConfig { round: 1 })
+                .budget(std::time::Duration::ZERO);
+            let trials = vec![Trial::control(); 6];
+            let resumed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                campaign.run_adaptive_checkpointed(&trials, 1, &mut parsed, |_| {})
+            }))
+            .map_err(|_| format!("resume panicked on {corrupted:?}"))?;
+            match resumed {
+                // A snapshot that resumed must have fit: one round per
+                // trial, a dense prefix, a ledger as wide as the bus.
+                Ok(run) => {
+                    check_eq(run.outcomes.len(), trials.len())?;
+                    check_eq(parsed.rounds_done(), trials.len())?;
+                    let indices: Vec<usize> = parsed.entries().iter().map(|e| e.index).collect();
+                    check_eq(indices, (0..trials.len()).collect())?;
+                    check_eq(parsed.ledger().wires(), *wires)
+                }
+                Err(CheckpointError::Schema { .. }) => Ok(()),
+                Err(other) => Err(format!("resume refused with a non-schema error: {other:?}")),
+            }
         },
     );
 }
