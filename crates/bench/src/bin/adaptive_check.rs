@@ -4,7 +4,8 @@
 //! Runs a fixed 24-trial severity sweep on a 6-wire bus through the
 //! adaptive engine (`Campaign::run_adaptive_checkpointed`), snapshotting
 //! the round-boundary checkpoint — trial entries *plus* the coverage
-//! ledger and priority clock — to disk after every round. One trial in
+//! ledger and priority clock — after every round into a generation pair
+//! (`<checkpoint>.a` / `<checkpoint>.b`). One trial in
 //! eight panics by design, proving failed attempts fold into the
 //! checkpoint stream too. With `--halt-after N` the process exits with
 //! code 3 as soon as N trials are checkpointed — simulating a kill —
@@ -28,17 +29,18 @@
 //! ```
 //!
 //! Exit codes: 0 = campaign complete and equivalent, 1 = the checkpoint
-//! parses but does not fit this batch (wrong ledger width, or entries
-//! that are not the prefix its round counter claims), 2 = usage/IO
-//! error or equivalence failure (oracle or memo), 3 = halted
-//! deliberately at the `--halt-after` threshold.
+//! parses but does not fit this batch (written by the exhaustive engine,
+//! a wrong ledger width, or entries that are not a dense prefix of whole
+//! rounds), 2 = usage/IO error or equivalence failure (oracle or memo),
+//! 3 = halted deliberately at the `--halt-after` threshold.
 
 use sint_bench::threads_from_env;
-use sint_core::adaptive::AdaptiveCheckpoint;
 use sint_core::campaign::{Campaign, RetryPolicy, Trial};
+use sint_core::checkpoint::{CampaignCheckpoint, Strategy};
 use sint_core::session::{ObservationMethod, SessionConfig};
 use sint_interconnect::params::BusParams;
 use sint_interconnect::Defect;
+use sint_runtime::durable::GenPair;
 use sint_runtime::json::ToJson;
 use std::process::ExitCode;
 
@@ -107,13 +109,13 @@ fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
     let threads = threads_from_env();
 
-    // Resume from an existing snapshot, or start fresh.
-    let mut checkpoint = match std::fs::read_to_string(&args.checkpoint_path) {
-        Ok(text) => AdaptiveCheckpoint::parse(&text)
-            .map_err(|e| format!("bad checkpoint {}: {e}", args.checkpoint_path))?,
-        Err(_) => AdaptiveCheckpoint::new(WIRES),
-    };
-    let resumed_from = checkpoint.entries().len();
+    // Resume from the newest valid checkpoint generation, or start
+    // fresh.
+    let pair = GenPair::new(&args.checkpoint_path);
+    let mut checkpoint = CampaignCheckpoint::load(&pair)
+        .map_err(|e| format!("bad checkpoint {}: {e}", args.checkpoint_path))?
+        .map_or_else(|| CampaignCheckpoint::new(Strategy::Adaptive, WIRES), |(cp, _)| cp);
+    let resumed_from = checkpoint.len();
 
     // The sabotaged trials panic by design; keep their backtraces out
     // of the tool's output.
@@ -121,20 +123,19 @@ fn run() -> Result<ExitCode, String> {
 
     let campaign = campaign();
     let batch = trials();
-    let checkpoint_path = args.checkpoint_path.clone();
     let halt_after = args.halt_after;
     let run = campaign.run_adaptive_checkpointed(&batch, threads, &mut checkpoint, |cp| {
-        // Atomic replace: a kill mid-snapshot must leave the previous
-        // checkpoint intact, never a half-file that parse() rejects.
-        if let Err(e) = cp.store_atomic(std::path::Path::new(&checkpoint_path)) {
+        // A kill mid-snapshot costs at most this generation: the
+        // previous one stays intact in the other slot.
+        if let Err(e) = cp.store_pair(&pair) {
             eprintln!("adaptive_check: cannot write checkpoint: {e}");
             std::process::exit(2);
         }
         if let Some(limit) = halt_after {
-            if cp.entries().len() >= limit {
+            if cp.len() >= limit {
                 eprintln!(
                     "adaptive_check: halting deliberately with {} / {} trials checkpointed",
-                    cp.entries().len(),
+                    cp.len(),
                     TRIALS
                 );
                 std::process::exit(3);

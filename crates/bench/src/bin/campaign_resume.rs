@@ -3,10 +3,10 @@
 //!
 //! Runs a fixed 20-trial campaign in which 10% of trials are sabotaged
 //! (one panics mid-trial, one injects a defect so extreme the transient
-//! solver diverges), snapshotting the checkpoint to disk every 5
-//! finished trials. With `--halt-after N` the process exits with code 3
-//! as soon as N trials are checkpointed — simulating a kill — and a
-//! later invocation without the flag resumes from the snapshot,
+//! solver diverges), snapshotting the checkpoint every 5 finished trials
+//! into a generation pair (`<checkpoint>.a` / `<checkpoint>.b`). With
+//! `--halt-after N` the process exits with code 3 as soon as N trials
+//! are checkpointed — simulating a kill — and a later invocation without the flag resumes from the snapshot,
 //! re-running only unfinished trials. The final summary JSON is
 //! byte-identical to an uninterrupted run at any `SINT_THREADS`.
 //!
@@ -32,17 +32,20 @@
 //!     [--halt-after N] [--deadline-ms N]
 //! ```
 //!
-//! Exit codes: 0 = campaign complete, 2 = usage/IO error, 3 = halted
-//! deliberately at the `--halt-after` threshold, 4 = the width-1
+//! Exit codes: 0 = campaign complete, 2 = usage/IO error or a checkpoint
+//! this run cannot resume (another format, or the adaptive engine's), 3 =
+//! halted deliberately at the `--halt-after` threshold, 4 = the width-1
 //! summary differs.
 
 use sint_bench::threads_from_env;
 use sint_core::campaign::{Campaign, RetryPolicy, Trial};
-use sint_core::checkpoint::CampaignCheckpoint;
+use sint_core::checkpoint::{CampaignCheckpoint, Strategy};
 use sint_interconnect::Defect;
+use sint_runtime::durable::GenPair;
 use sint_runtime::json::ToJson;
 use std::process::ExitCode;
 
+const WIRES: usize = 3;
 const TRIALS: usize = 20;
 const SNAPSHOT_EVERY: usize = 5;
 
@@ -112,12 +115,12 @@ fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
     let threads = threads_from_env();
 
-    // Resume from an existing snapshot, or start fresh.
-    let mut checkpoint = match std::fs::read_to_string(&args.checkpoint_path) {
-        Ok(text) => CampaignCheckpoint::parse(&text)
-            .map_err(|e| format!("bad checkpoint {}: {e}", args.checkpoint_path))?,
-        Err(_) => CampaignCheckpoint::new(),
-    };
+    // Resume from the newest valid checkpoint generation, or start
+    // fresh.
+    let pair = GenPair::new(&args.checkpoint_path);
+    let mut checkpoint = CampaignCheckpoint::load(&pair)
+        .map_err(|e| format!("bad checkpoint {}: {e}", args.checkpoint_path))?
+        .map_or_else(|| CampaignCheckpoint::new(Strategy::Exhaustive, WIRES), |(cp, _)| cp);
     let resumed_from = checkpoint.len();
 
     // The sabotaged trials panic by design; keep their reports out of
@@ -126,17 +129,16 @@ fn run() -> Result<ExitCode, String> {
     std::panic::set_hook(Box::new(|_| {}));
 
     let mut campaign =
-        Campaign::new(3).retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() });
+        Campaign::new(WIRES).retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() });
     if let Some(ms) = args.deadline_ms {
         campaign = campaign.deadline(std::time::Duration::from_millis(ms));
     }
     let batch = trials(args.deadline_ms.is_some());
-    let checkpoint_path = args.checkpoint_path.clone();
     let halt_after = args.halt_after;
     let run = campaign.run_checkpointed(&batch, threads, &mut checkpoint, SNAPSHOT_EVERY, |cp| {
-        // Atomic replace: a kill mid-snapshot must leave the previous
-        // checkpoint intact, never a half-file that parse() rejects.
-        if let Err(e) = cp.store_atomic(std::path::Path::new(&checkpoint_path)) {
+        // A kill mid-snapshot costs at most this generation: the
+        // previous one stays intact in the other slot.
+        if let Err(e) = cp.store_pair(&pair) {
             eprintln!("campaign_resume: cannot write checkpoint: {e}");
             std::process::exit(2);
         }
@@ -151,14 +153,19 @@ fn run() -> Result<ExitCode, String> {
             }
         }
     });
-    let scalar_summary = args.deadline_ms.is_none().then(|| {
-        campaign
-            .clone()
-            .panel_width(1)
-            .run_checkpointed(&batch, threads, &mut CampaignCheckpoint::new(), SNAPSHOT_EVERY, |_| {})
-            .to_json()
-            .render_pretty()
-    });
+    let run = run.map_err(|e| format!("cannot resume {}: {e}", args.checkpoint_path))?;
+    let scalar_summary = match args.deadline_ms {
+        Some(_) => None,
+        None => {
+            let mut fresh = CampaignCheckpoint::new(Strategy::Exhaustive, WIRES);
+            let scalar = campaign
+                .clone()
+                .panel_width(1)
+                .run_checkpointed(&batch, threads, &mut fresh, SNAPSHOT_EVERY, |_| {})
+                .map_err(|e| format!("width-1 re-run: {e}"))?;
+            Some(scalar.to_json().render_pretty())
+        }
+    };
     let _ = std::panic::take_hook();
 
     let summary = run.to_json().render_pretty();

@@ -23,16 +23,10 @@ use crate::campaign::{
     AttemptOutcome, Campaign, CampaignStats, Session, Trial, TrialAttempt, TrialFailure,
     TrialOutcome, TrialShed,
 };
-use crate::checkpoint::{parse_document, CheckpointEntry, CheckpointError};
+use crate::checkpoint::{field_u64, CampaignCheckpoint, CheckpointEntry, CheckpointError, Strategy};
 use crate::mafm::{CoverageLedger, IntegrityFault};
-use crate::memo::DetectorMemo;
 use sint_interconnect::drive::DriveLevel;
-use sint_runtime::cancel::CancelToken;
 use sint_runtime::json::{Json, ToJson};
-use sint_runtime::pool::Pool;
-
-/// Snapshot format version emitted by [`AdaptiveCheckpoint::to_json`].
-const ADAPTIVE_CHECKPOINT_VERSION: u64 = 1;
 
 /// Tuning knobs for the adaptive engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,176 +179,6 @@ fn detected_to_json(pairs: &[(usize, IntegrityFault)]) -> Json {
     )
 }
 
-/// Crash-consistent snapshot of a partially-run adaptive batch: the
-/// finished trial entries **plus the coverage ledger and priority
-/// clock**, so a resumed run drops exactly the patterns the original
-/// would have. Snapshots are taken at round boundaries only — rounds
-/// are the engine's determinism unit, so resuming at one reproduces
-/// the uninterrupted byte stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveCheckpoint {
-    rounds_done: usize,
-    entries: Vec<CheckpointEntry>,
-    fold: TrialFold,
-}
-
-impl AdaptiveCheckpoint {
-    /// An empty checkpoint for a `wires`-wide campaign.
-    #[must_use]
-    pub fn new(wires: usize) -> AdaptiveCheckpoint {
-        AdaptiveCheckpoint { rounds_done: 0, entries: Vec::new(), fold: TrialFold::new(wires) }
-    }
-
-    /// Rounds fully folded into this snapshot.
-    #[must_use]
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
-    }
-
-    /// Finished trial entries, in index order.
-    #[must_use]
-    pub fn entries(&self) -> &[CheckpointEntry] {
-        &self.entries
-    }
-
-    /// The campaign-wide coverage ledger as of the last round boundary.
-    #[must_use]
-    pub fn ledger(&self) -> &CoverageLedger {
-        &self.fold.ledger
-    }
-
-    /// TCKs spent by every session folded so far.
-    #[must_use]
-    pub fn total_tck(&self) -> u64 {
-        self.fold.total_tck
-    }
-
-    /// The fold state (ledger, priority clock, TCK tally).
-    pub(crate) fn fold(&self) -> &TrialFold {
-        &self.fold
-    }
-
-    /// Decodes a snapshot produced by [`AdaptiveCheckpoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Json`] for malformed JSON,
-    /// [`CheckpointError::Schema`] for anything that is not a version-1
-    /// adaptive snapshot.
-    pub fn parse(text: &str) -> Result<AdaptiveCheckpoint, CheckpointError> {
-        let root = parse_document(text)?;
-        match root.get("version").and_then(Json::as_u64) {
-            Some(ADAPTIVE_CHECKPOINT_VERSION) => {}
-            Some(v) => {
-                return Err(schema(format!("unsupported adaptive checkpoint version {v}")));
-            }
-            None => return Err(schema("missing version")),
-        }
-        let rounds_done = root
-            .get("rounds_done")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| schema("missing rounds_done"))? as usize;
-        let total_tck = root
-            .get("total_tck")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| schema("missing total_tck"))?;
-        let ledger = root
-            .get("ledger")
-            .and_then(CoverageLedger::from_json)
-            .ok_or_else(|| schema("missing or malformed ledger"))?;
-        let priority_json =
-            root.get("priority").ok_or_else(|| schema("missing priority"))?;
-        let clock = priority_json
-            .get("clock")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| schema("priority is missing clock"))?;
-        let hits = priority_json
-            .get("last_hit")
-            .and_then(Json::as_array)
-            .ok_or_else(|| schema("priority is missing last_hit"))?;
-        if hits.len() != 6 {
-            return Err(schema("priority last_hit must have six entries"));
-        }
-        let mut last_hit = [0u64; 6];
-        for (slot, hit) in last_hit.iter_mut().zip(hits) {
-            *slot = hit.as_u64().ok_or_else(|| schema("last_hit entry is not a count"))?;
-        }
-        let entries_json = root
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or_else(|| schema("missing entries array"))?;
-        let mut entries = Vec::with_capacity(entries_json.len());
-        for entry in entries_json {
-            entries.push(CheckpointEntry::from_json(entry)?);
-        }
-        if !entries.windows(2).all(|w| w[0].index < w[1].index) {
-            return Err(schema("entries must be strictly index-ordered"));
-        }
-        let priority = FaultPriority { last_hit, clock };
-        let fold = TrialFold { ledger, priority, total_tck };
-        Ok(AdaptiveCheckpoint { rounds_done, entries, fold })
-    }
-
-    /// Checks that the snapshot fits a batch of `trials` trials run
-    /// `round` at a time on a `wires`-wide bus: a ledger of that
-    /// width, and exactly the entries its round counter claims, as a
-    /// dense index-and-seed prefix of the batch.
-    fn check_layout(
-        &self,
-        wires: usize,
-        round: usize,
-        trials: usize,
-    ) -> Result<(), CheckpointError> {
-        if self.fold.ledger.wires() != wires {
-            return Err(schema(format!(
-                "ledger tracks {} wires but the campaign has {wires}",
-                self.fold.ledger.wires()
-            )));
-        }
-        let done = self.rounds_done.min(trials.div_ceil(round));
-        let expected = (done * round).min(trials);
-        if self.entries.len() != expected {
-            return Err(schema(format!(
-                "{} rounds of {round} over {trials} trials need {expected} entries, found {}",
-                self.rounds_done,
-                self.entries.len()
-            )));
-        }
-        if self.entries.iter().enumerate().any(|(i, e)| e.index != i || e.seed != i as u64) {
-            return Err(schema("entries are not a dense prefix of the batch"));
-        }
-        Ok(())
-    }
-
-    /// Persists the snapshot crash-consistently (staged, fsynced,
-    /// renamed — see [`sint_runtime::durable::AtomicFile`]).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure from staging, syncing or renaming.
-    pub fn store_atomic(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let payload = self.to_json().render() + "\n";
-        sint_runtime::durable::AtomicFile::write(path, payload.as_bytes())
-    }
-}
-
-impl ToJson for AdaptiveCheckpoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", ADAPTIVE_CHECKPOINT_VERSION.to_json()),
-            ("rounds_done", self.rounds_done.to_json()),
-            ("total_tck", self.fold.total_tck.to_json()),
-            ("ledger", self.fold.ledger.to_json()),
-            ("priority", self.fold.priority.to_json()),
-            ("entries", Json::Array(self.entries.iter().map(ToJson::to_json).collect())),
-        ])
-    }
-}
-
-fn schema(reason: impl Into<String>) -> CheckpointError {
-    CheckpointError::Schema { reason: reason.into() }
-}
-
 /// What one verdict contributes to campaign state, carried by
 /// [`TrialAttempt::delta`] and folded in by [`TrialFold::fold`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -372,9 +196,10 @@ pub struct AdaptiveDelta {
 
 /// The campaign-wide state every finished trial folds into: the
 /// coverage ledger, the [`FaultPriority`] clock that orders the next
-/// trial's halves, and the TCK tally. The rounds engine, the serial
+/// trial's halves, and the TCK tally. The batch loop, the serial
 /// streaming engine and the fleet supervisor all fold through it, so a
-/// trial result becomes a [`CheckpointEntry`] in exactly one place.
+/// trial result becomes a [`CheckpointEntry`] in exactly one place; a
+/// [`CampaignCheckpoint`] carries it across kill/resume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialFold {
     ledger: CoverageLedger,
@@ -448,6 +273,35 @@ impl TrialFold {
         }
         entry
     }
+
+    /// Decodes a fold from its [`ToJson`] rendering (the `fold` of a
+    /// campaign checkpoint).
+    pub(crate) fn from_json(json: &Json) -> Result<TrialFold, CheckpointError> {
+        let schema = CheckpointError::schema;
+        let ledger = json
+            .get("ledger")
+            .and_then(CoverageLedger::from_json)
+            .ok_or_else(|| schema("missing or malformed ledger"))?;
+        let priority = json.get("priority").ok_or_else(|| schema("missing priority"))?;
+        let last_hit: [u64; 6] = priority
+            .get("last_hit")
+            .and_then(Json::as_array)
+            .and_then(|hits| hits.iter().map(Json::as_u64).collect::<Option<Vec<_>>>())
+            .and_then(|hits| hits.try_into().ok())
+            .ok_or_else(|| schema("priority last_hit must be six counts"))?;
+        let priority = FaultPriority { last_hit, clock: field_u64(priority, "clock")? };
+        Ok(TrialFold { ledger, priority, total_tck: field_u64(json, "total_tck")? })
+    }
+}
+
+impl ToJson for TrialFold {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("total_tck", self.total_tck.to_json()),
+            ("ledger", self.ledger.to_json()),
+            ("priority", self.priority.to_json()),
+        ])
+    }
 }
 
 impl Campaign {
@@ -457,9 +311,9 @@ impl Campaign {
     /// empty checkpoint and a discarding sink.
     #[must_use]
     pub fn run_adaptive(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
-        let mut checkpoint = AdaptiveCheckpoint::new(self.wires());
+        let mut checkpoint = CampaignCheckpoint::new(Strategy::Adaptive, self.wires());
         let round = self.adaptive_config().round;
-        self.run_rounds(trials, threads, round, TrialFold::adaptive, &mut checkpoint, |_| {})
+        self.run_batch(trials, threads, round, TrialFold::adaptive, &mut checkpoint, |_| {})
     }
 
     /// The adaptive engine with round-boundary checkpointing and
@@ -474,19 +328,20 @@ impl Campaign {
     /// # Errors
     ///
     /// [`CheckpointError::Schema`], before any trial runs, when
-    /// `checkpoint` does not fit this batch: a ledger of another width,
-    /// or entries that are not exactly the dense prefix its round
-    /// counter claims (a snapshot from a different batch layout).
+    /// `checkpoint` does not fit this batch: a snapshot of the
+    /// exhaustive engine, a ledger of another width, or entries that
+    /// are not a dense prefix of whole rounds (a snapshot from a
+    /// different batch layout).
     pub fn run_adaptive_checkpointed(
         &self,
         trials: &[Trial],
         threads: usize,
-        checkpoint: &mut AdaptiveCheckpoint,
-        sink: impl FnMut(&AdaptiveCheckpoint),
+        checkpoint: &mut CampaignCheckpoint,
+        sink: impl FnMut(&CampaignCheckpoint),
     ) -> Result<AdaptiveRun, CheckpointError> {
         let round = self.adaptive_config().round.max(1);
-        checkpoint.check_layout(self.wires(), round, trials.len())?;
-        Ok(self.run_rounds(trials, threads, round, TrialFold::adaptive, checkpoint, sink))
+        checkpoint.check_layout(Strategy::Adaptive, self.wires(), round, trials.len())?;
+        Ok(self.run_batch(trials, threads, round, TrialFold::adaptive, checkpoint, sink))
     }
 
     /// The exhaustive oracle with per-pattern attribution: every trial
@@ -496,76 +351,9 @@ impl Campaign {
     /// run's `detected` set against [`Campaign::run_adaptive`]'s.
     #[must_use]
     pub fn run_attributed(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
-        let mut checkpoint = AdaptiveCheckpoint::new(self.wires());
+        let mut checkpoint = CampaignCheckpoint::new(Strategy::Exhaustive, self.wires());
         let attributed = |_: &TrialFold| Session::Attributed;
-        self.run_rounds(trials, threads, usize::MAX, attributed, &mut checkpoint, |_| {})
-    }
-
-    /// The batch loop behind every in-memory engine: runs `pending`
-    /// (`(index, trial)` pairs) in chunks of `chunk` across `threads`
-    /// workers sharing one detector memo and one budget token. Every
-    /// trial of a chunk runs the session `session_for` picks from the
-    /// fold state at the chunk boundary; results fold into `state` in
-    /// index order and the chunk's entries go to `commit`.
-    pub(crate) fn run_batch(
-        &self,
-        pending: &[(usize, Trial)],
-        threads: usize,
-        chunk: usize,
-        session_for: fn(&TrialFold) -> Session<'_>,
-        state: &mut AdaptiveCheckpoint,
-        mut commit: impl FnMut(&mut AdaptiveCheckpoint, Vec<CheckpointEntry>),
-    ) {
-        let pool = Pool::new(threads);
-        let budget = self.campaign_budget().map(CancelToken::with_deadline);
-        let memo = DetectorMemo::new();
-        let max_attempts = self.retry_policy().max_attempts.max(1);
-        for batch in pending.chunks(chunk.max(1)) {
-            let session = session_for(&state.fold);
-            let results = pool.try_map(batch, |_, &(index, trial)| {
-                self.run_attempts(trial, index, budget.as_ref(), session, Some(&memo))
-            });
-            let entries = batch
-                .iter()
-                .zip(results)
-                .map(|(&(index, _), result)| {
-                    // The attempt isolates its own panics; the pool's
-                    // isolation is the backstop.
-                    let attempt = result.unwrap_or_else(|panic| {
-                        TrialAttempt::new(
-                            AttemptOutcome::Infrastructure { error: panic.message },
-                            max_attempts,
-                        )
-                    });
-                    state.fold.fold(index, attempt)
-                })
-                .collect();
-            commit(state, entries);
-        }
-    }
-
-    /// The rounds engine: runs the trials `checkpoint` does not hold yet
-    /// through the batch loop, `round` at a time. Every trial of a
-    /// round sees the fold state as of the round boundary, and results
-    /// fold back in index order, so the summary is byte-identical at
-    /// any thread count.
-    fn run_rounds(
-        &self,
-        trials: &[Trial],
-        threads: usize,
-        round: usize,
-        session_for: fn(&TrialFold) -> Session<'_>,
-        checkpoint: &mut AdaptiveCheckpoint,
-        mut sink: impl FnMut(&AdaptiveCheckpoint),
-    ) -> AdaptiveRun {
-        let pending: Vec<(usize, Trial)> =
-            trials.iter().copied().enumerate().skip(checkpoint.entries.len()).collect();
-        self.run_batch(&pending, threads, round, session_for, checkpoint, |cp, entries| {
-            cp.entries.extend(entries);
-            cp.rounds_done += 1;
-            sink(cp);
-        });
-        assemble(&checkpoint.entries, &checkpoint.fold)
+        self.run_batch(trials, threads, usize::MAX, attributed, &mut checkpoint, |_| {})
     }
 }
 
@@ -681,31 +469,48 @@ mod tests {
         let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 3 });
         let trials = sweep_trials();
 
-        let mut reference_ckpt = AdaptiveCheckpoint::new(4);
+        let mut reference_ckpt = CampaignCheckpoint::new(Strategy::Adaptive, 4);
         let reference =
             campaign.run_adaptive_checkpointed(&trials, 1, &mut reference_ckpt, |_| {}).unwrap();
 
         // Kill after the first round; resume from the persisted bytes.
         let mut first_snapshot = None;
-        let mut halted = AdaptiveCheckpoint::new(4);
+        let mut halted = CampaignCheckpoint::new(Strategy::Adaptive, 4);
         let _ = campaign.run_adaptive_checkpointed(&trials, 1, &mut halted, |cp| {
             if first_snapshot.is_none() {
                 first_snapshot = Some(cp.to_json().render());
             }
         });
         let snapshot = first_snapshot.expect("at least one round ran");
-        let mut resumed_ckpt = AdaptiveCheckpoint::parse(&snapshot).unwrap();
-        assert_eq!(resumed_ckpt.rounds_done(), 1);
-        assert_eq!(resumed_ckpt.entries().len(), 3);
+        let mut resumed_ckpt = CampaignCheckpoint::parse(&snapshot).unwrap();
+        assert_eq!(resumed_ckpt.len(), 3, "the snapshot holds exactly one round");
         let resumed =
             campaign.run_adaptive_checkpointed(&trials, 4, &mut resumed_ckpt, |_| {}).unwrap();
         assert_eq!(resumed.to_json().render(), reference.to_json().render());
     }
 
+    /// A version-3 adaptive snapshot over a `wires`-wide ledger holding
+    /// `entries`.
+    fn snapshot(wires: usize, entries: &[usize]) -> String {
+        let mut checkpoint = CampaignCheckpoint::new(Strategy::Adaptive, wires);
+        for &index in entries {
+            checkpoint.record(CheckpointEntry {
+                index,
+                seed: index as u64,
+                outcome: TrialOutcome::CleanPass,
+                failure: None,
+                shed: None,
+                dropped: 0,
+                escalation: 0,
+            });
+        }
+        checkpoint.to_json().render()
+    }
+
     /// A snapshot `parse` accepts but that cannot belong to `trials`
     /// must be refused with a schema error before any trial runs.
     fn refuses_to_resume(campaign: &Campaign, trials: &[Trial], snapshot: &str) -> String {
-        let mut checkpoint = AdaptiveCheckpoint::parse(snapshot).unwrap();
+        let mut checkpoint = CampaignCheckpoint::parse(snapshot).unwrap();
         let mut sink_calls = 0usize;
         let result = campaign.run_adaptive_checkpointed(trials, 1, &mut checkpoint, |_| {
             sink_calls += 1;
@@ -718,20 +523,20 @@ mod tests {
     }
 
     #[test]
-    fn resume_refuses_rounds_without_their_entries() {
+    fn resume_refuses_entries_that_end_mid_round() {
         let campaign = Campaign::new(6).adaptive(AdaptiveConfig { round: 2 });
         let trials = vec![Trial::control(); 8];
-        let snapshot = r#"{"version":1,"rounds_done":3,"total_tck":0,"ledger":{"wires":6,"masks":[0,0,0,0,0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[]}"#;
-        let reason = refuses_to_resume(&campaign, &trials, snapshot);
-        assert!(reason.contains("need 6 entries, found 0"), "{reason}");
+        let reason = refuses_to_resume(&campaign, &trials, &snapshot(6, &[0, 1, 2]));
+        assert!(reason.contains("3 entries are not whole rounds of 2 over 8 trials"), "{reason}");
+        let reason = refuses_to_resume(&campaign, &trials[..2], &snapshot(6, &[0, 1, 2]));
+        assert!(reason.contains("over 2 trials"), "{reason}");
     }
 
     #[test]
     fn resume_refuses_a_ledger_of_another_width() {
         let campaign = Campaign::new(6);
         let trials = vec![Trial::control(); 8];
-        let snapshot = r#"{"version":1,"rounds_done":0,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[]}"#;
-        let reason = refuses_to_resume(&campaign, &trials, snapshot);
+        let reason = refuses_to_resume(&campaign, &trials, &snapshot(2, &[]));
         assert!(reason.contains("ledger tracks 2 wires"), "{reason}");
     }
 
@@ -739,44 +544,26 @@ mod tests {
     fn resume_refuses_entries_that_skip_a_trial() {
         let campaign = Campaign::new(4).adaptive(AdaptiveConfig { round: 1 });
         let trials = vec![Trial::control(); 3];
-        let entry = |i: usize| {
-            CheckpointEntry {
-                index: i,
-                seed: i as u64,
-                outcome: TrialOutcome::CleanPass,
-                failure: None,
-                shed: None,
-                dropped: 0,
-                escalation: 0,
-            }
-            .to_json()
-            .render()
-        };
-        let snapshot = format!(
-            r#"{{"version":1,"rounds_done":2,"total_tck":0,"ledger":{{"wires":4,"masks":[0,0,0,0]}},"priority":{{"clock":0,"last_hit":[0,0,0,0,0,0]}},"entries":[{},{}]}}"#,
-            entry(0),
-            entry(2)
-        );
-        let reason = refuses_to_resume(&campaign, &trials, &snapshot);
+        let reason = refuses_to_resume(&campaign, &trials, &snapshot(4, &[0, 2]));
         assert!(reason.contains("dense prefix"), "{reason}");
     }
 
     #[test]
-    fn checkpoint_parse_rejects_malformed_snapshots() {
-        assert!(matches!(
-            AdaptiveCheckpoint::parse("not json"),
-            Err(CheckpointError::Json(_))
-        ));
+    fn fold_parse_rejects_malformed_state() {
+        let fresh = CampaignCheckpoint::new(Strategy::Adaptive, 2).to_json().render();
+        let good_fold = TrialFold::new(2).to_json().render();
+        assert!(fresh.contains(&good_fold), "{fresh}");
         for bad in [
-            r#"{"rounds_done":0}"#,
-            r#"{"version":9,"rounds_done":0}"#,
-            r#"{"version":1}"#,
-            r#"{"version":1,"rounds_done":0,"total_tck":0,"ledger":{"wires":2},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]},"entries":[]}"#,
-            r#"{"version":1,"rounds_done":0,"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0]},"entries":[]}"#,
+            r#"{"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]}}"#,
+            r#"{"total_tck":0,"ledger":{"wires":2},"priority":{"clock":0,"last_hit":[0,0,0,0,0,0]}}"#,
+            r#"{"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"clock":0,"last_hit":[0,0]}}"#,
+            r#"{"total_tck":0,"ledger":{"wires":2,"masks":[0,0]},"priority":{"last_hit":[0,0,0,0,0,0]}}"#,
+            r#"{"total_tck":0,"ledger":{"wires":2,"masks":[0,0]}}"#,
         ] {
+            let text = fresh.replace(&good_fold, bad);
             assert!(
-                matches!(AdaptiveCheckpoint::parse(bad), Err(CheckpointError::Schema { .. })),
-                "{bad}"
+                matches!(CampaignCheckpoint::parse(&text), Err(CheckpointError::Schema { .. })),
+                "{text}"
             );
         }
     }

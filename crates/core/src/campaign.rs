@@ -6,8 +6,8 @@
 //! the caller supplies the exact defect list (randomised campaigns
 //! sample defects upstream, e.g. in `sint-bench`).
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveDelta};
-use crate::checkpoint::CampaignCheckpoint;
+use crate::adaptive::{AdaptiveConfig, AdaptiveDelta, TrialFold};
+use crate::checkpoint::{CampaignCheckpoint, Strategy};
 use crate::cost::MethodPlanner;
 use crate::error::CoreError;
 use crate::mafm::{CoverageLedger, IntegrityFault};
@@ -867,9 +867,9 @@ impl Campaign {
         self.run_parallel(trials, 1)
     }
 
-    /// Runs a batch of trials across `threads` workers:
-    /// [`Campaign::run_checkpointed`] from an empty checkpoint, in one
-    /// chunk.
+    /// Runs a batch of trials across `threads` workers: the
+    /// [`Campaign::run_checkpointed`] loop from an empty checkpoint, in
+    /// one chunk.
     ///
     /// Each trial's die (its variation seed) is derived from the trial
     /// *index*, and results fold in input order, so the summary is
@@ -885,7 +885,9 @@ impl Campaign {
     /// call, so a vector pair is solved once per distinct bus.
     #[must_use]
     pub fn run_parallel(&self, trials: &[Trial], threads: usize) -> CampaignRun {
-        self.run_checkpointed(trials, threads, &mut CampaignCheckpoint::new(), usize::MAX, |_| {})
+        let mut checkpoint = CampaignCheckpoint::new(Strategy::Exhaustive, self.wires());
+        let exhaustive = |_: &TrialFold| Session::Exhaustive;
+        self.run_batch(trials, threads, usize::MAX, exhaustive, &mut checkpoint, |_| {}).into()
     }
 }
 

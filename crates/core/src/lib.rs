@@ -69,9 +69,7 @@ pub use campaign::{
     AttemptOutcome, Campaign, CampaignRun, CampaignStats, RetryPolicy, ShedReason, Trial,
     TrialAttempt, TrialOutcome, TrialShed,
 };
-pub use adaptive::{
-    AdaptiveCheckpoint, AdaptiveConfig, AdaptiveDelta, AdaptiveRun, FaultPriority, TrialFold,
-};
+pub use adaptive::{AdaptiveConfig, AdaptiveDelta, AdaptiveRun, FaultPriority, TrialFold};
 pub use checkpoint::CampaignCheckpoint;
 pub use cost::MethodPlanner;
 pub use degrade::{ChainPolicy, DegradationEvent, DegradedOutcome};

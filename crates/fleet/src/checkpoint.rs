@@ -2,8 +2,9 @@
 //!
 //! A fleet run snapshots one [`BoardEntry`] per finished board — its
 //! id, seed, owning client, campaign counters and supervisor
-//! [`BoardReport`] — into a versioned JSON document. Feeding the last
-//! snapshot back into
+//! [`BoardReport`] — into a [`Checkpoint`] (the shared keyed,
+//! versioned, generation-paired snapshot of [`sint_core::checkpoint`]).
+//! Feeding the last snapshot back into
 //! [`crate::engine::FleetEngine::run_checkpointed`] re-runs only the
 //! unfinished boards; because each board is a pure function of its id
 //! (breaker trips, backoff waits and chaos faults included), the
@@ -11,19 +12,15 @@
 //! Entries are keyed by id *and* seed, so a snapshot taken against a
 //! different floor layout is rejected at lookup time rather than
 //! replayed silently. Version-1 snapshots (which predate the
-//! resilience layer and carry no reports) are rejected with a typed
-//! error — resuming them would silently forget quarantine state.
+//! resilience layer and carry no reports) are refused by name —
+//! resuming them would silently forget quarantine state.
 
 use crate::engine::{AdaptiveTotals, BoardSummary};
 use crate::error::FleetError;
 use crate::supervisor::BoardReport;
 use sint_core::campaign::CampaignStats;
-use sint_runtime::durable::GenPair;
+use sint_core::checkpoint::{field_u64, Checkpoint, Payload};
 use sint_runtime::json::{Json, ToJson};
-
-/// Fleet checkpoint format version. Version 2 added the per-board
-/// supervisor report (breaker/quarantine/backoff state).
-const FLEET_CHECKPOINT_VERSION: u64 = 2;
 
 /// One finished board in a checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,10 +67,7 @@ impl ToJson for BoardEntry {
             ("seed", self.seed.to_json()),
             ("client", self.client.to_json()),
             ("stats", self.stats.to_json()),
-            ("crashed", match &self.crashed {
-                Some(m) => m.to_json(),
-                None => Json::Null,
-            }),
+            ("crashed", self.crashed.to_json()),
             ("report", self.report.to_json()),
         ];
         if self.adaptive != AdaptiveTotals::default() {
@@ -83,145 +77,76 @@ impl ToJson for BoardEntry {
     }
 }
 
+/// The fleet checkpoint format: boards carry everything, so the
+/// payload is empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FleetPayload;
+
+impl Payload for FleetPayload {
+    const NAME: &'static str = "fleet checkpoint";
+    /// Version 2 added the per-board supervisor report
+    /// (breaker/quarantine/backoff state).
+    const VERSION: u64 = 2;
+    const RETIRED: &'static [(u64, Option<&'static str>, &'static str)] =
+        &[(1, None, "fleet checkpoint v1 (no supervisor reports)")];
+    type Entry = BoardEntry;
+    type Error = FleetError;
+
+    fn key(entry: &BoardEntry) -> (usize, u64) {
+        (entry.board, entry.seed)
+    }
+
+    fn decode_entry(entry: &Json) -> Result<BoardEntry, FleetError> {
+        let stats = entry
+            .get("stats")
+            .ok_or_else(|| FleetError::schema("entry has no stats"))
+            .and_then(parse_stats)?;
+        let crashed = match entry.get("crashed") {
+            None | Some(Json::Null) => None,
+            Some(m) => Some(
+                m.as_str()
+                    .ok_or_else(|| FleetError::schema("crashed must be a string or null"))?
+                    .to_string(),
+            ),
+        };
+        let report = entry
+            .get("report")
+            .ok_or_else(|| FleetError::schema("entry has no supervisor report"))
+            .and_then(BoardReport::from_json)?;
+        let adaptive = match entry.get("adaptive") {
+            None | Some(Json::Null) => AdaptiveTotals::default(),
+            Some(counters) => AdaptiveTotals {
+                dropped: field_u64(counters, "dropped")?,
+                escalation: field_u64(counters, "escalation")?,
+            },
+        };
+        Ok(BoardEntry {
+            board: field_u64(entry, "board")? as usize,
+            seed: field_u64(entry, "seed")?,
+            client: field_u64(entry, "client")? as usize,
+            stats,
+            crashed,
+            report,
+            adaptive,
+        })
+    }
+
+    fn decode(_: &Json) -> Result<FleetPayload, FleetError> {
+        Ok(FleetPayload)
+    }
+
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        Vec::new()
+    }
+}
+
 /// Accumulated finished boards of one fleet run, ordered by board id.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FleetCheckpoint {
-    entries: Vec<BoardEntry>,
-}
-
-impl FleetCheckpoint {
-    /// An empty checkpoint (a fresh, un-resumed run).
-    #[must_use]
-    pub fn new() -> FleetCheckpoint {
-        FleetCheckpoint::default()
-    }
-
-    /// Finished boards recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The recorded entries, ordered by board id.
-    #[must_use]
-    pub fn entries(&self) -> &[BoardEntry] {
-        &self.entries
-    }
-
-    /// The entry for `board`, provided it was recorded under the same
-    /// `seed` (otherwise the snapshot belongs to a different floor and
-    /// must not be reused).
-    #[must_use]
-    pub fn entry_for(&self, board: usize, seed: u64) -> Option<&BoardEntry> {
-        self.entries
-            .binary_search_by_key(&board, |e| e.board)
-            .ok()
-            .map(|pos| &self.entries[pos])
-            .filter(|e| e.seed == seed)
-    }
-
-    /// Records a finished board, replacing any previous entry for the
-    /// same id.
-    pub fn record(&mut self, entry: BoardEntry) {
-        match self.entries.binary_search_by_key(&entry.board, |e| e.board) {
-            Ok(pos) => self.entries[pos] = entry,
-            Err(pos) => self.entries.insert(pos, entry),
-        }
-    }
-
-    /// Decodes a snapshot produced by [`FleetCheckpoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Json`] for malformed JSON, [`FleetError::Schema`]
-    /// for a well-formed document that is not a version-2 fleet
-    /// checkpoint — including the pre-resilience version 1, which is
-    /// rejected by name rather than resumed without its reports.
-    pub fn parse(text: &str) -> Result<FleetCheckpoint, FleetError> {
-        let root = Json::parse(text)?;
-        match root.get("version").and_then(Json::as_u64) {
-            Some(FLEET_CHECKPOINT_VERSION) => {}
-            Some(v) => {
-                return Err(FleetError::schema(format!(
-                    "unsupported fleet checkpoint version {v}"
-                )));
-            }
-            None => return Err(FleetError::schema("missing version")),
-        }
-        let entries = root
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or_else(|| FleetError::schema("missing entries array"))?;
-        let mut checkpoint = FleetCheckpoint::new();
-        for entry in entries {
-            checkpoint.record(parse_board_entry(entry)?);
-        }
-        Ok(checkpoint)
-    }
-
-    /// Loads the newest valid generation from a [`GenPair`] — the
-    /// crash-safe resume path. Returns the checkpoint and its
-    /// generation number; a pair with no valid slot (fresh run, or
-    /// both slots destroyed) yields an empty checkpoint at generation
-    /// zero rather than an error, because "nothing to resume" is the
-    /// normal first-run state.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] when the slots cannot be read at all;
-    /// [`FleetError::Json`] / [`FleetError::Schema`] when the
-    /// surviving generation's payload is not a version-2 checkpoint
-    /// (its frame was intact, so this is corruption beyond a torn
-    /// write).
-    pub fn load_pair(pair: &GenPair) -> Result<(FleetCheckpoint, u64), FleetError> {
-        match pair.load().map_err(|e| FleetError::io(e.to_string()))? {
-            None => Ok((FleetCheckpoint::new(), 0)),
-            Some((generation, payload)) => {
-                Ok((FleetCheckpoint::parse(&payload)?, generation))
-            }
-        }
-    }
-
-    /// Stores this checkpoint as the next generation of a [`GenPair`],
-    /// leaving the previous generation untouched in the other slot —
-    /// a crash anywhere during the write can only lose the snapshot
-    /// being written, never the last good one. Returns the generation
-    /// written.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] when the slot cannot be written.
-    pub fn store_pair(&self, pair: &GenPair) -> Result<u64, FleetError> {
-        let payload = self.to_json().render() + "\n";
-        pair.store(&payload).map_err(|e| FleetError::io(e.to_string()))
-    }
-}
-
-impl ToJson for FleetCheckpoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", FLEET_CHECKPOINT_VERSION.to_json()),
-            ("entries", Json::Array(self.entries.iter().map(ToJson::to_json).collect())),
-        ])
-    }
-}
-
-fn field_u64(obj: &Json, key: &str) -> Result<u64, FleetError> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| FleetError::schema(format!("entry is missing numeric {key:?}")))
-}
+pub type FleetCheckpoint = Checkpoint<FleetPayload>;
 
 /// Decodes [`CampaignStats`] counters from their [`ToJson`] rendering.
 /// The derived rate fields are ignored: they re-derive on render, so
 /// the round trip stays byte-identical.
-pub(crate) fn parse_stats(json: &Json) -> Result<CampaignStats, FleetError> {
+fn parse_stats(json: &Json) -> Result<CampaignStats, FleetError> {
     Ok(CampaignStats {
         defect_trials: field_u64(json, "defect_trials")? as usize,
         detected: field_u64(json, "detected")? as usize,
@@ -232,45 +157,11 @@ pub(crate) fn parse_stats(json: &Json) -> Result<CampaignStats, FleetError> {
     })
 }
 
-fn parse_board_entry(entry: &Json) -> Result<BoardEntry, FleetError> {
-    let stats = entry
-        .get("stats")
-        .ok_or_else(|| FleetError::schema("entry has no stats"))
-        .and_then(parse_stats)?;
-    let crashed = match entry.get("crashed") {
-        None | Some(Json::Null) => None,
-        Some(m) => Some(
-            m.as_str()
-                .ok_or_else(|| FleetError::schema("crashed must be a string or null"))?
-                .to_string(),
-        ),
-    };
-    let report = entry
-        .get("report")
-        .ok_or_else(|| FleetError::schema("entry has no supervisor report"))
-        .and_then(BoardReport::from_json)?;
-    let adaptive = match entry.get("adaptive") {
-        None | Some(Json::Null) => AdaptiveTotals::default(),
-        Some(counters) => AdaptiveTotals {
-            dropped: field_u64(counters, "dropped")?,
-            escalation: field_u64(counters, "escalation")?,
-        },
-    };
-    Ok(BoardEntry {
-        board: field_u64(entry, "board")? as usize,
-        seed: field_u64(entry, "seed")?,
-        client: field_u64(entry, "client")? as usize,
-        stats,
-        crashed,
-        report,
-        adaptive,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::supervisor::BoardVerdict;
+    use sint_runtime::durable::GenPair;
 
     fn entry(board: usize) -> BoardEntry {
         BoardEntry {
@@ -345,7 +236,7 @@ mod tests {
         match FleetCheckpoint::parse(v1) {
             Err(FleetError::Schema { reason }) => {
                 assert!(
-                    reason.contains("unsupported fleet checkpoint version 1"),
+                    reason.contains("fleet checkpoint v1 (no supervisor reports) is a retired format"),
                     "{reason}"
                 );
             }
@@ -371,6 +262,52 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn repeated_entries_key_is_refused_not_read_as_empty() {
+        // The first copy is empty: a reader honouring it would re-run
+        // every board and forget quarantine and breaker state.
+        let mut checkpoint = FleetCheckpoint::new();
+        checkpoint.record(entry(3));
+        let rendered = checkpoint.to_json().render();
+        let doubled = rendered.replacen(r#""entries":["#, r#""entries":[],"entries":["#, 1);
+        match FleetCheckpoint::parse(&doubled) {
+            Err(FleetError::Schema { reason }) => {
+                assert!(reason.contains(r#"duplicate key "entries""#), "{reason}");
+            }
+            other => panic!("a repeated entries key must be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_version_or_seed_is_refused() {
+        let mut checkpoint = FleetCheckpoint::new();
+        checkpoint.record(entry(3));
+        let rendered = checkpoint.to_json().render();
+        for (from, to, key) in [
+            (r#"{"version":2,"#, r#"{"version":2,"version":2,"#, "version"),
+            (r#""seed":22,"#, r#""seed":22,"seed":23,"#, "seed"),
+        ] {
+            let doubled = rendered.replacen(from, to, 1);
+            assert_ne!(doubled, rendered, "{from} must occur in {rendered}");
+            match FleetCheckpoint::parse(&doubled) {
+                Err(FleetError::Schema { reason }) => {
+                    assert!(reason.contains(&format!("duplicate key {key:?}")), "{reason}");
+                }
+                other => panic!("a repeated {key} must be refused, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unordered_entries_are_refused() {
+        let one = entry(3).to_json().render();
+        let zero = entry(0).to_json().render();
+        let text = format!(r#"{{"version":2,"entries":[{one},{zero}]}}"#);
+        assert!(matches!(FleetCheckpoint::parse(&text), Err(FleetError::Schema { .. })));
+        let text = format!(r#"{{"version":2,"entries":[{zero},{zero}]}}"#);
+        assert!(matches!(FleetCheckpoint::parse(&text), Err(FleetError::Schema { .. })));
     }
 
     #[test]

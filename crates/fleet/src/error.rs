@@ -23,7 +23,7 @@ pub enum FleetError {
         /// Human-readable reason.
         reason: String,
     },
-    /// An embedded checkpoint-v2 trial entry failed to decode.
+    /// An embedded checkpoint trial entry failed to decode.
     Entry(CheckpointError),
     /// A [`crate::record::RecordSink`] write failed. Typed so the
     /// supervisor can spool the record and keep the board running —
@@ -58,12 +58,6 @@ impl FleetError {
     pub fn sink(reason: impl Into<String>) -> FleetError {
         FleetError::Sink { reason: reason.into() }
     }
-
-    /// A [`FleetError::Io`] with the given reason.
-    #[must_use]
-    pub fn io(reason: impl Into<String>) -> FleetError {
-        FleetError::Io { reason: reason.into() }
-    }
 }
 
 impl fmt::Display for FleetError {
@@ -89,9 +83,17 @@ impl From<JsonParseError> for FleetError {
     }
 }
 
+/// A checkpoint envelope's errors are the fleet artifact's own; an
+/// embedded trial entry's are wrapped as [`FleetError::Entry`] where it
+/// is decoded.
 impl From<CheckpointError> for FleetError {
     fn from(e: CheckpointError) -> Self {
-        FleetError::Entry(e)
+        match e {
+            CheckpointError::Json(e) => FleetError::Json(e),
+            CheckpointError::Schema { reason } => FleetError::Schema { reason },
+            CheckpointError::Io { reason } => FleetError::Io { reason },
+            other => FleetError::Entry(other),
+        }
     }
 }
 

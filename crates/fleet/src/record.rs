@@ -405,7 +405,8 @@ pub fn replay_summary_recovered(
                     record
                         .get("entry")
                         .ok_or_else(|| FleetError::schema("trial record has no entry"))?,
-                )?;
+                )
+                .map_err(FleetError::Entry)?;
                 client_names.entry(client).or_insert_with(|| name.to_string());
                 note.records += 1;
                 if seen_trials.insert((board, entry.index)) {

@@ -283,6 +283,32 @@ if ! cmp "$tmp/ad_ref_summary.json" "$tmp/ad_summary.json"; then
 fi
 echo "adaptive equivalence: oracle match, summaries byte-identical"
 
+# Cross-strategy refusal: a campaign checkpoint resumes only under the
+# engine that wrote it. Point each tool at the other's finished
+# checkpoint; each must exit non-zero with the refusal on stderr and
+# write no summary.
+status=0
+SINT_THREADS=1 target/release/campaign_resume \
+    "$tmp/ad_ref_ckpt.json" "$tmp/xs_campaign_summary.json" \
+    2>"$tmp/xs_campaign.err" || status=$?
+cat "$tmp/xs_campaign.err" >&2
+if [ "$status" -eq 0 ] || [ -e "$tmp/xs_campaign_summary.json" ] ||
+    ! grep -q "adaptive checkpoint cannot resume the exhaustive engine" "$tmp/xs_campaign.err"; then
+    echo "verify: FAIL — campaign_resume did not refuse the adaptive checkpoint" >&2
+    exit 1
+fi
+status=0
+SINT_THREADS=1 target/release/adaptive_check \
+    "$tmp/ref_ckpt.json" "$tmp/xs_adaptive_summary.json" \
+    2>"$tmp/xs_adaptive.err" || status=$?
+cat "$tmp/xs_adaptive.err" >&2
+if [ "$status" -eq 0 ] || [ -e "$tmp/xs_adaptive_summary.json" ] ||
+    ! grep -q "exhaustive checkpoint cannot resume the adaptive engine" "$tmp/xs_adaptive.err"; then
+    echo "verify: FAIL — adaptive_check did not refuse the exhaustive checkpoint" >&2
+    exit 1
+fi
+echo "cross-strategy refusal: each engine refuses the other's checkpoint"
+
 # Detector-memo equivalence at 8 threads: the adaptive gate above
 # already runs adaptive_check there; campaign_resume's gates stop at 4,
 # so run it once more. Its in-process width-1 re-run (scalar, no memo)
