@@ -19,7 +19,7 @@ use sint_bench::{emit_artifact, threads_from_env};
 use sint_core::campaign::{Campaign, Trial};
 use sint_core::mafm::CoverageLedger;
 use sint_core::session::{ObservationMethod, SessionConfig};
-use sint_core::soc::SocBuilder;
+use sint_core::soc::{SessionPlan, SocBuilder};
 use sint_interconnect::drive::DriveLevel;
 use sint_interconnect::params::BusParams;
 use sint_interconnect::Defect;
@@ -106,9 +106,10 @@ fn main() {
         let cfg =
             SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) };
         let ledger = CoverageLedger::new(WIRES);
-        let order = [DriveLevel::Low, DriveLevel::High];
+        let half_order = [DriveLevel::Low, DriveLevel::High];
+        let plan = SessionPlan::Adaptive { ledger: &ledger, half_order };
         b.measure(&format!("adaptive_session/n{WIRES}"), || {
-            black_box(soc.run_adaptive_session(&cfg, &ledger, order).expect("session runs"));
+            black_box(soc.run_session(&cfg, plan).expect("session runs"));
         });
     }
 

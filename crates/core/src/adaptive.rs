@@ -6,7 +6,7 @@
 //! every trial of a severity or corner sweep. The adaptive engine keeps
 //! a campaign-wide [`CoverageLedger`] of pairs already *detected*; each
 //! trial's session truncates or skips pattern halves whose pairs are
-//! all covered ([`crate::soc::Soc::run_adaptive_session`]), probes the
+//! all covered ([`crate::soc::SessionPlan::Adaptive`]), probes the
 //! remainder at method-1 cost, and escalates to binary-search
 //! localization only where a probe actually flags. A [`FaultPriority`]
 //! recency clock additionally reorders the two initial-value halves so
@@ -20,11 +20,12 @@
 //! mutable ledger.
 
 use crate::campaign::{
-    AttemptOutcome, Campaign, CampaignStats, Session, Trial, TrialAttempt, TrialFailure,
-    TrialOutcome, TrialShed,
+    AttemptOutcome, Campaign, CampaignStats, Trial, TrialAttempt, TrialFailure, TrialOutcome,
+    TrialShed,
 };
 use crate::checkpoint::{field_u64, CampaignCheckpoint, CheckpointEntry, CheckpointError, Strategy};
 use crate::mafm::{CoverageLedger, IntegrityFault};
+use crate::soc::SessionPlan;
 use sint_interconnect::drive::DriveLevel;
 use sint_runtime::json::{Json, ToJson};
 
@@ -179,14 +180,19 @@ fn detected_to_json(pairs: &[(usize, IntegrityFault)]) -> Json {
     )
 }
 
-/// What one verdict contributes to campaign state, carried by
-/// [`TrialAttempt::delta`] and folded in by [`TrialFold::fold`].
+/// What one session contributes to campaign state: returned by
+/// [`crate::soc::Soc::run_session`], carried by [`TrialAttempt::delta`]
+/// and folded in by [`TrialFold::fold`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdaptiveDelta {
-    /// Freshly detected `(victim wire, fault)` pairs — recorded into
-    /// the campaign ledger so later trials can drop them.
+    /// Isolated failing patterns as `(victim wire, fault)` pairs,
+    /// sorted victim-major, then by fault — recorded into the campaign
+    /// ledger so later trials can drop them. Empty for an exhaustive
+    /// session.
     pub detected: Vec<(usize, IntegrityFault)>,
-    /// Pattern halves skipped because their pairs were already covered.
+    /// Pattern applications skipped because their pairs were already
+    /// covered (whole halves and truncated suffixes): a fully covered
+    /// 4-wire die drops all 24.
     pub dropped: u64,
     /// Binary-search escalation passes the session had to run.
     pub escalations: u64,
@@ -228,9 +234,10 @@ impl TrialFold {
         self.priority.half_order()
     }
 
-    /// The adaptive session against this state.
-    pub(crate) fn adaptive(&self) -> Session<'_> {
-        Session::Adaptive { ledger: &self.ledger, half_order: self.half_order() }
+    /// The adaptive plan the next trial runs against this state.
+    #[must_use]
+    pub fn adaptive(&self) -> SessionPlan<'_> {
+        SessionPlan::Adaptive { ledger: &self.ledger, half_order: self.half_order() }
     }
 
     /// Folds trial `index`'s result in — a verdict's detections into
@@ -352,7 +359,7 @@ impl Campaign {
     #[must_use]
     pub fn run_attributed(&self, trials: &[Trial], threads: usize) -> AdaptiveRun {
         let mut checkpoint = CampaignCheckpoint::new(Strategy::Exhaustive, self.wires());
-        let attributed = |_: &TrialFold| Session::Attributed;
+        let attributed = |_: &TrialFold| SessionPlan::Attributed;
         self.run_batch(trials, threads, usize::MAX, attributed, &mut checkpoint, |_| {})
     }
 }

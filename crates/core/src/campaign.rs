@@ -13,10 +13,9 @@ use crate::error::CoreError;
 use crate::mafm::{CoverageLedger, IntegrityFault};
 use crate::memo::DetectorMemo;
 use crate::session::{IntegrityReport, ObservationMethod, SessionConfig};
-use crate::soc::{AdaptiveSessionOutcome, Soc, SocBuilder};
+use crate::soc::{SessionPlan, Soc, SocBuilder};
 use crate::timing::ChainGeometry;
 use sint_interconnect::defect::Defect;
-use sint_interconnect::drive::DriveLevel;
 use sint_interconnect::params::BusParams;
 use sint_interconnect::variation::VariationSigma;
 use sint_jtag::fault::ScanFault;
@@ -445,7 +444,7 @@ pub struct TrialAttempt {
     /// Attempts made; a failure record reports it.
     pub attempts: usize,
     /// The verdict's detections and counters (empty for every other
-    /// outcome and for exhaustive sessions).
+    /// outcome; an exhaustive session carries only its TCKs).
     pub delta: AdaptiveDelta,
 }
 
@@ -455,23 +454,6 @@ impl TrialAttempt {
     pub fn new(outcome: AttemptOutcome, attempts: usize) -> TrialAttempt {
         TrialAttempt { outcome, attempts, delta: AdaptiveDelta::default() }
     }
-}
-
-/// The session one trial attempt runs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Session<'a> {
-    /// The paper's session ([`Soc::run_integrity_test`]).
-    Exhaustive,
-    /// Every pattern probed ([`Soc::run_attributed_exhaustive`]).
-    Attributed,
-    /// Ledger-driven dropping and escalation
-    /// ([`Soc::run_adaptive_session`]).
-    Adaptive {
-        /// Pairs already detected campaign-wide.
-        ledger: &'a CoverageLedger,
-        /// The order the two initial-value halves run in.
-        half_order: [DriveLevel; 2],
-    },
 }
 
 /// Everything a campaign batch produced: per-trial outcomes in input
@@ -651,16 +633,7 @@ impl Campaign {
         self.budget
     }
 
-    /// Runs one trial.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SoC build/session errors.
-    pub fn run_trial(&self, trial: Trial) -> Result<TrialOutcome, CoreError> {
-        self.run_trial_seeded(trial, 0)
-    }
-
-    /// Runs one trial with a per-die variation seed offset.
+    /// Runs one trial (variation seed offset 0).
     ///
     /// # Errors
     ///
@@ -670,18 +643,18 @@ impl Campaign {
     ///
     /// Panics when the trial carries [`TrialSabotage::Panic`] — the
     /// batch engines catch this and report a [`TrialFailure`].
-    pub fn run_trial_seeded(&self, trial: Trial, seed_offset: u64) -> Result<TrialOutcome, CoreError> {
-        self.run_session(trial, seed_offset, Session::Exhaustive, None).map(|(outcome, _)| outcome)
+    pub fn run_trial(&self, trial: Trial) -> Result<TrialOutcome, CoreError> {
+        self.run_session(trial, 0, SessionPlan::Exhaustive, None).map(|(outcome, _)| outcome)
     }
 
     /// Builds the trial SoC (sharing the calling batch engine's
-    /// [`DetectorMemo`], if any), runs `session` on it and judges the
+    /// [`DetectorMemo`], if any), runs `plan` on it and judges the
     /// report.
     fn run_session(
         &self,
         trial: Trial,
         seed_offset: u64,
-        session: Session<'_>,
+        plan: SessionPlan<'_>,
         memo: Option<&DetectorMemo>,
     ) -> Result<(TrialOutcome, AdaptiveDelta), CoreError> {
         if trial.sabotage == TrialSabotage::Panic {
@@ -689,20 +662,11 @@ impl Campaign {
         }
         let config = self.trial_session_config(trial)?;
         let mut soc = self.build_trial_soc(trial, seed_offset, memo)?;
-        let (report, mut delta, ledger) = match session {
-            Session::Exhaustive => {
-                (soc.run_integrity_test(&config)?, AdaptiveDelta::default(), None)
-            }
-            Session::Attributed => {
-                let (report, delta) = split(soc.run_attributed_exhaustive(&config)?);
-                (report, delta, None)
-            }
-            Session::Adaptive { ledger, half_order } => {
-                let (report, delta) = split(soc.run_adaptive_session(&config, ledger, half_order)?);
-                (report, delta, Some(ledger))
-            }
+        let (report, delta) = soc.run_session(&config, plan)?;
+        let ledger = match plan {
+            SessionPlan::Adaptive { ledger, .. } => Some(ledger),
+            _ => None,
         };
-        delta.tck = report.tck_used;
         Ok((judge(trial, &report, ledger), delta))
     }
 
@@ -767,10 +731,10 @@ impl Campaign {
         &self,
         trial: Trial,
         seed: u64,
-        session: Session<'_>,
+        plan: SessionPlan<'_>,
         memo: Option<&DetectorMemo>,
     ) -> TrialAttempt {
-        let run = || self.run_session(trial, seed, session, memo);
+        let run = || self.run_session(trial, seed, plan, memo);
         let outcome = match panic::catch_unwind(AssertUnwindSafe(run)) {
             Ok(Ok((verdict, delta))) => {
                 let outcome = AttemptOutcome::Verdict(verdict);
@@ -804,7 +768,7 @@ impl Campaign {
         trial: Trial,
         index: usize,
         budget: Option<&CancelToken>,
-        session: Session<'_>,
+        plan: SessionPlan<'_>,
         memo: Option<&DetectorMemo>,
     ) -> TrialAttempt {
         if budget.is_some_and(|token| token.poll_deadline() || token.is_cancelled()) {
@@ -815,7 +779,7 @@ impl Campaign {
         loop {
             let seed = (index as u64)
                 .wrapping_add((attempts as u64).wrapping_mul(self.retry.seed_stride));
-            let mut attempt = self.attempt(trial, seed, session, memo);
+            let mut attempt = self.attempt(trial, seed, plan, memo);
             attempts += 1;
             attempt.attempts = attempts;
             if attempts == max_attempts
@@ -832,11 +796,10 @@ impl Campaign {
     /// their own retry and quarantine policy instead of using the
     /// campaign's [`RetryPolicy`].
     ///
-    /// `adaptive` selects the session: `None` runs the exhaustive one;
-    /// `Some((ledger, half_order))` runs the adaptive one against the
-    /// caller's campaign-wide ledger, and a verdict's
-    /// [`TrialAttempt::delta`] carries what the caller folds back
-    /// ([`crate::adaptive::TrialFold::fold`]) before its next trial.
+    /// `plan` selects the session. An adaptive plan runs against the
+    /// caller's campaign-wide ledger ([`TrialFold::adaptive`]), and a
+    /// verdict's [`TrialAttempt::delta`] carries what the caller folds
+    /// back ([`TrialFold::fold`]) before its next trial.
     ///
     /// `seed` is used verbatim (no attempt striding); callers that
     /// retry should derive per-attempt seeds themselves, e.g. with the
@@ -847,13 +810,9 @@ impl Campaign {
         &self,
         trial: Trial,
         seed: u64,
-        adaptive: Option<(&CoverageLedger, [DriveLevel; 2])>,
+        plan: SessionPlan<'_>,
     ) -> TrialAttempt {
-        let session = match adaptive {
-            Some((ledger, half_order)) => Session::Adaptive { ledger, half_order },
-            None => Session::Exhaustive,
-        };
-        self.attempt(trial, seed, session, None)
+        self.attempt(trial, seed, plan, None)
     }
 
     /// Runs a batch of trials serially.
@@ -886,16 +845,9 @@ impl Campaign {
     #[must_use]
     pub fn run_parallel(&self, trials: &[Trial], threads: usize) -> CampaignRun {
         let mut checkpoint = CampaignCheckpoint::new(Strategy::Exhaustive, self.wires());
-        let exhaustive = |_: &TrialFold| Session::Exhaustive;
+        let exhaustive = |_: &TrialFold| SessionPlan::Exhaustive;
         self.run_batch(trials, threads, usize::MAX, exhaustive, &mut checkpoint, |_| {}).into()
     }
-}
-
-/// Splits an adaptive or attributed session outcome into its report
-/// and the delta its verdict contributes.
-fn split(outcome: AdaptiveSessionOutcome) -> (IntegrityReport, AdaptiveDelta) {
-    let AdaptiveSessionOutcome { report, detected, dropped, escalations } = outcome;
-    (report, AdaptiveDelta { detected, dropped, escalations, tck: 0 })
 }
 
 /// Judges a finished session against its trial kind: the defect's
@@ -1196,7 +1148,7 @@ mod tests {
         let trial = Trial::control();
         let warm = DetectorMemo::new();
         let run = |campaign: &Campaign, memo| {
-            campaign.run_attempts(trial, 0, None, Session::Exhaustive, Some(memo)).outcome
+            campaign.run_attempts(trial, 0, None, SessionPlan::Exhaustive, Some(memo)).outcome
         };
         assert_eq!(run(&Campaign::new(3), &warm), AttemptOutcome::Verdict(TrialOutcome::CleanPass));
         assert!(warm.entries() > 0, "the control's patterns were stored");

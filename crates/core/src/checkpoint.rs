@@ -13,10 +13,11 @@
 
 use crate::adaptive::{assemble, AdaptiveRun, TrialFold};
 use crate::campaign::{
-    AttemptOutcome, Campaign, CampaignRun, CampaignStats, Session, ShedReason, Trial,
-    TrialAttempt, TrialFailure, TrialOutcome, TrialShed,
+    AttemptOutcome, Campaign, CampaignRun, CampaignStats, ShedReason, Trial, TrialAttempt,
+    TrialFailure, TrialOutcome, TrialShed,
 };
 use crate::memo::DetectorMemo;
+use crate::soc::SessionPlan;
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::durable::GenPair;
 use sint_runtime::json::{Json, JsonParseError, ToJson};
@@ -602,8 +603,8 @@ impl Campaign {
         let mut fold = TrialFold::new(self.wires());
         let mut stats = CampaignStats::default();
         for (index, trial) in trials.iter().enumerate() {
-            let session = if adaptive { fold.adaptive() } else { Session::Exhaustive };
-            let attempt = self.run_attempts(*trial, index, budget, session, None);
+            let plan = if adaptive { fold.adaptive() } else { SessionPlan::Exhaustive };
+            let attempt = self.run_attempts(*trial, index, budget, plan, None);
             let entry = fold.fold(index, attempt);
             stats.accumulate(entry.outcome);
             emit(&entry);
@@ -635,14 +636,14 @@ impl Campaign {
         sink: impl FnMut(&CampaignCheckpoint),
     ) -> Result<CampaignRun, CheckpointError> {
         checkpoint.check_layout(Strategy::Exhaustive, self.wires(), snapshot_every, trials.len())?;
-        let exhaustive = |_: &TrialFold| Session::Exhaustive;
+        let exhaustive = |_: &TrialFold| SessionPlan::Exhaustive;
         Ok(self.run_batch(trials, threads, snapshot_every, exhaustive, checkpoint, sink).into())
     }
 
     /// The resume loop behind every in-memory engine: runs the trials
     /// `checkpoint` does not hold yet in chunks of `chunk` across
     /// `threads` workers sharing one detector memo and one budget token.
-    /// Every trial of a chunk runs the session `session_for` picks from
+    /// Every trial of a chunk runs the session plan `plan_for` picks from
     /// the fold state at the chunk boundary; results fold back in index
     /// order and `sink` sees the checkpoint after every chunk. The run
     /// is assembled from the checkpoint in index order, so it is
@@ -652,7 +653,7 @@ impl Campaign {
         trials: &[Trial],
         threads: usize,
         chunk: usize,
-        session_for: fn(&TrialFold) -> Session<'_>,
+        plan_for: fn(&TrialFold) -> SessionPlan<'_>,
         checkpoint: &mut CampaignCheckpoint,
         mut sink: impl FnMut(&CampaignCheckpoint),
     ) -> AdaptiveRun {
@@ -667,9 +668,9 @@ impl Campaign {
         let memo = DetectorMemo::new();
         let max_attempts = self.retry_policy().max_attempts.max(1);
         for batch in pending.chunks(chunk.max(1)) {
-            let session = session_for(&checkpoint.payload.fold);
+            let plan = plan_for(&checkpoint.payload.fold);
             let results = pool.try_map(batch, |_, &(index, trial)| {
-                self.run_attempts(trial, index, budget.as_ref(), session, Some(&memo))
+                self.run_attempts(trial, index, budget.as_ref(), plan, Some(&memo))
             });
             for (&(index, _), result) in batch.iter().zip(results) {
                 // The attempt isolates its own panics; the pool's

@@ -297,7 +297,7 @@ mod tests {
     use crate::mafm::{CoverageLedger, IntegrityFault};
     use crate::obsc::Obsc;
     use crate::session::{ObservationMethod, SessionConfig};
-    use crate::soc::{Soc, SocBuilder};
+    use crate::soc::{SessionPlan, Soc, SocBuilder};
     use sint_interconnect::params::BusParams;
     use sint_interconnect::Defect;
     use sint_runtime::prop::{gen, Runner};
@@ -438,9 +438,10 @@ mod tests {
                 } else {
                     [DriveLevel::Low, DriveLevel::High]
                 };
-                format!("{:?}", soc.run_adaptive_session(cfg, &ledger, order))
+                let plan = SessionPlan::Adaptive { ledger: &ledger, half_order: order };
+                format!("{:?}", soc.run_session(cfg, plan))
             }
-            Step::Attributed(cfg) => format!("{:?}", soc.run_attributed_exhaustive(cfg)),
+            Step::Attributed(cfg) => format!("{:?}", soc.run_session(cfg, SessionPlan::Attributed)),
             Step::Conventional => format!("{:?}", soc.run_conventional_generation()),
         }
     }

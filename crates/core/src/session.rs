@@ -13,7 +13,12 @@
 //! 3. **PerPattern** — a read-out after every pattern: full fault
 //!    diagnosis at a large time cost.
 //!
-//! The actual execution lives in [`crate::soc::Soc::run_integrity_test`].
+//! All three methods run the same pattern schedule and differ only in
+//! where the read-outs go, so one loop executes them:
+//! [`crate::soc::Soc::run_session`], whose [`crate::soc::SessionPlan`]
+//! also covers the attributed and adaptive sessions'
+//! detector-clearing [`ReadoutPoint::Probe`]s.
+//! [`crate::soc::Soc::run_integrity_test`] is the paper's session.
 
 use crate::degrade::DegradedOutcome;
 use crate::mafm::IntegrityFault;
@@ -152,10 +157,11 @@ pub enum ReadoutPoint {
         /// Fault the pattern excites.
         fault: IntegrityFault,
     },
-    /// Adaptive localization probe (see [`crate::adaptive`]): like
-    /// `AfterPattern`, but the engine *clears* the detectors right after
-    /// scanning them out, so the snapshot is per-probe-window rather
-    /// than cumulative. Only adaptive sessions emit this point.
+    /// Localization probe: like `AfterPattern`, but the session
+    /// *clears* the detectors right after scanning them out, so the
+    /// snapshot is per-probe-window rather than cumulative. Attributed
+    /// and adaptive sessions emit this point (see
+    /// [`crate::soc::SessionPlan`]).
     Probe {
         /// Initial value of the enclosing half.
         initial: DriveLevel,

@@ -53,9 +53,8 @@ use sint_core::campaign::{
     AttemptOutcome, Campaign, CampaignStats, ShedReason, Trial, TrialAttempt, TrialSabotage,
 };
 use sint_core::checkpoint::CheckpointEntry;
-use sint_core::mafm::CoverageLedger;
 use sint_core::probe_chain;
-use sint_interconnect::drive::DriveLevel;
+use sint_core::soc::SessionPlan;
 use sint_runtime::backoff::{BackoffPolicy, VirtualClock};
 use sint_runtime::cancel::CancelToken;
 use sint_runtime::durable::{frame, DiskFault, FaultyWriter};
@@ -308,7 +307,7 @@ struct BoardState {
 
 /// Wraps one floor campaign in the resilience policy; one instance is
 /// shared read-only by every board job (all mutable state lives in the
-/// per-board [`BoardState`]).
+/// per-board `BoardState`).
 #[derive(Debug)]
 pub struct BoardSupervisor<'a> {
     config: &'a SupervisorConfig,
@@ -358,17 +357,16 @@ impl<'a> BoardSupervisor<'a> {
         alpha * sample + (1.0 - alpha) * health
     }
 
-    /// Runs one attempt, chaos-transformed, and classifies the result.
-    /// `adaptive` is the board's adaptive context (coverage ledger plus
-    /// the half order the priority clock picked); `None` runs the
-    /// conventional exhaustive trial.
+    /// Runs one attempt of `plan` (the board fold's adaptive plan, or
+    /// the exhaustive session), chaos-transformed, and classifies the
+    /// result.
     fn attempt(
         &self,
         board: &BoardSpec,
         trial: &Trial,
         index: usize,
         attempt: usize,
-        adaptive: Option<(&CoverageLedger, [DriveLevel; 2])>,
+        plan: SessionPlan<'_>,
     ) -> TrialAttempt {
         let fault = match self.chaos.and_then(|c| c.fault_on_attempt(board.id, index, attempt)) {
             // Sink and disk faults hit the result path, never the
@@ -379,22 +377,22 @@ impl<'a> BoardSupervisor<'a> {
         let seed = (index as u64)
             .wrapping_add((attempt as u64).wrapping_mul(self.campaign.retry_policy().seed_stride));
         let mut result = match fault {
-            None => self.campaign.run_trial_isolated(*trial, seed, adaptive),
+            None => self.campaign.run_trial_isolated(*trial, seed, plan),
             Some(ChaosKind::Scan) => {
                 let chain_fault = self.chaos.map_or(
                     sint_jtag::fault::ScanFault::StuckAtZero { link: 0 },
                     |c| c.scan_fault(board.id),
                 );
                 let faulted = Trial::chain_faulted(trial.defect, chain_fault);
-                self.campaign.run_trial_isolated(faulted, seed, adaptive)
+                self.campaign.run_trial_isolated(faulted, seed, plan)
             }
             Some(ChaosKind::Panic) => {
                 let panicking = Trial { defect: trial.defect, sabotage: TrialSabotage::Panic };
-                self.campaign.run_trial_isolated(panicking, seed, adaptive)
+                self.campaign.run_trial_isolated(panicking, seed, plan)
             }
             Some(ChaosKind::Wedge | ChaosKind::Sink | ChaosKind::Disk) => {
                 let wedged = Trial { defect: trial.defect, sabotage: TrialSabotage::Wedge };
-                self.wedged.run_trial_isolated(wedged, seed, adaptive)
+                self.wedged.run_trial_isolated(wedged, seed, plan)
             }
         };
         // A chaos wedge ends as a deadline shed mechanically, but it
@@ -473,8 +471,9 @@ impl<'a> BoardSupervisor<'a> {
             } else {
                 let mut attempts = 0usize;
                 let result = loop {
-                    let adaptive = self.adaptive.then(|| (fold.ledger(), fold.half_order()));
-                    let mut result = self.attempt(board, trial, index, attempts, adaptive);
+                    let plan =
+                        if self.adaptive { fold.adaptive() } else { SessionPlan::Exhaustive };
+                    let mut result = self.attempt(board, trial, index, attempts, plan);
                     clock.tick();
                     attempts += 1;
                     result.attempts = attempts;

@@ -11,6 +11,15 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: every intra-doc link must resolve, so docs left pointing
+# at a removed or private item fail verification.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+# The end-to-end benchmark package (perfbench/) sits outside the
+# workspace: build it so a library API change that breaks it fails here.
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 cargo test -q --workspace
 
 # Unwrap hygiene on the fault-injection substrate and the trial engine:

@@ -16,7 +16,7 @@ use sint::core::mafm::{
 };
 use sint::core::nd::{NdThresholds, NoiseDetector};
 use sint::core::session::{ObservationMethod, SessionConfig};
-use sint::core::soc::SocBuilder;
+use sint::core::soc::{SessionPlan, SocBuilder};
 use sint::interconnect::defect::Defect;
 use sint::interconnect::drive::{DriveLevel, VectorPair};
 use sint::interconnect::linalg::Matrix;
@@ -357,14 +357,16 @@ fn adaptive_sessions_detect_exactly_the_exhaustive_attribution() {
             };
             let cfg =
                 SessionConfig { dt: 10e-12, ..SessionConfig::method(ObservationMethod::Once) };
-            let oracle = build()?.run_attributed_exhaustive(&cfg).map_err(|e| e.to_string())?;
+            let (_, oracle) =
+                build()?.run_session(&cfg, SessionPlan::Attributed).map_err(|e| e.to_string())?;
             let order = if *high_first {
                 [DriveLevel::High, DriveLevel::Low]
             } else {
                 [DriveLevel::Low, DriveLevel::High]
             };
-            let adaptive = build()?
-                .run_adaptive_session(&cfg, &CoverageLedger::new(width), order)
+            let empty = CoverageLedger::new(width);
+            let (_, adaptive) = build()?
+                .run_session(&cfg, SessionPlan::Adaptive { ledger: &empty, half_order: order })
                 .map_err(|e| e.to_string())?;
             check_eq(adaptive.detected.clone(), oracle.detected.clone())?;
             // Quarantined victims are never excited, by either path.
@@ -382,8 +384,8 @@ fn adaptive_sessions_detect_exactly_the_exhaustive_attribution() {
             for &(victim, fault) in &oracle.detected {
                 ledger.record(victim, fault);
             }
-            let rerun = build()?
-                .run_adaptive_session(&cfg, &ledger, order)
+            let (_, rerun) = build()?
+                .run_session(&cfg, SessionPlan::Adaptive { ledger: &ledger, half_order: order })
                 .map_err(|e| e.to_string())?;
             for pair in &rerun.detected {
                 check(oracle.detected.contains(pair), || {
@@ -398,13 +400,13 @@ fn adaptive_sessions_detect_exactly_the_exhaustive_attribution() {
                     full.record(victim, fault);
                 }
             }
-            let skipped = build()?
-                .run_adaptive_session(&cfg, &full, order)
+            let (report, skipped) = build()?
+                .run_session(&cfg, SessionPlan::Adaptive { ledger: &full, half_order: order })
                 .map_err(|e| e.to_string())?;
             let healthy = broken_cell.map_or(width, |cell| cell + 1);
             check_eq(skipped.dropped, 6 * healthy as u64)?;
             check(skipped.detected.is_empty(), || format!("{:?}", skipped.detected))?;
-            check_eq(skipped.report.patterns_applied, 0)
+            check_eq(report.patterns_applied, 0)
         },
     );
 }
