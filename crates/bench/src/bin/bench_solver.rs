@@ -8,8 +8,16 @@
 //! the DESIGN.md complexity-table evidence: O(N·b²) vs O(N³) factor,
 //! O(N·b) vs O(N²) step. A `scratch` row shows the additional win from
 //! reusing [`SimScratch`] buffers across runs, as campaigns do.
+//!
+//! The `basis/…` rows time the response-basis path SoC sessions take
+//! on the coarse grid the benchmark workloads use (2 segments per wire,
+//! 10 ps steps, 2 ns window): one `build` of the `n` unit responses,
+//! one `superpose_6n` of all `6n` MA pairs from it, against
+//! `panel_6n`, the same pairs through the multi-RHS panel solver.
 
 use sint_bench::emit_artifact;
+use sint_core::mafm::{fault_pair, IntegrityFault};
+use sint_interconnect::basis::ResponseBasis;
 use sint_interconnect::drive::VectorPair;
 use sint_interconnect::params::BusParams;
 use sint_interconnect::solver::{
@@ -116,6 +124,44 @@ fn main() {
         }
     }
 
+    // Response basis against per-pattern transients, per bus width.
+    let mut basis_rows = Vec::new();
+    for wires in [8usize, 16, 32] {
+        let bus = BusParams::dsm_bus(wires).segments(2).build().unwrap();
+        let s = TransientSim::new(&bus, 10e-12).unwrap();
+        let pairs: Vec<VectorPair> = (0..wires)
+            .flat_map(|v| IntegrityFault::ALL.map(|f| fault_pair(wires, v, f).unwrap()))
+            .collect();
+        let build = b
+            .measure(&format!("basis/build/{wires}"), || {
+                black_box(ResponseBasis::build(black_box(&s), 2e-9, None).unwrap());
+            })
+            .median_ns;
+        let basis = ResponseBasis::build(&s, 2e-9, None).unwrap();
+        let mut out = vec![0.0; wires * basis.samples()];
+        let superpose = b
+            .measure(&format!("basis/superpose_6n/{wires}"), || {
+                for pair in &pairs {
+                    basis.superpose_into(black_box(pair), &mut out).unwrap();
+                }
+                black_box(&out);
+            })
+            .median_ns;
+        let mut scratch = PanelScratch::new();
+        let panel = b
+            .measure(&format!("basis/panel_6n/{wires}"), || {
+                black_box(s.run_pairs_cancellable(black_box(&pairs), 2e-9, &mut scratch, None).unwrap());
+            })
+            .median_ns;
+        basis_rows.push(Json::obj([
+            ("wires", wires.to_json()),
+            ("build_median_ns", build.to_json()),
+            ("superpose_6n_median_ns", superpose.to_json()),
+            ("panel_6n_median_ns", panel.to_json()),
+            ("speedup_basis_vs_panel", (panel / (build + superpose)).to_json()),
+        ]));
+    }
+
     print!("{}", b.table());
 
     // Per-pattern speedups for the panel sweep: k-wide panel cost is
@@ -138,6 +184,7 @@ fn main() {
         ("suite", "solver".to_json()),
         ("results", b.results().to_json()),
         ("panel_batching", panel_batching),
+        ("response_basis", Json::Array(basis_rows)),
     ]);
     emit_artifact("bench_solver", &artifact);
 }

@@ -600,12 +600,11 @@ mod tests {
 
     #[test]
     fn sabotage_and_shed_flow_through_the_adaptive_engine() {
-        use std::time::Duration;
-        // The deadline is generous for a clean adaptive control trial
-        // but hopeless for the wedge's thousandfold settle window; no
-        // defect trial rides along because an escalating session's
-        // wall-clock is the one thing this test must not depend on.
-        let campaign = Campaign::new(3).deadline(Duration::from_millis(250));
+        // The step budget is generous for a clean adaptive control
+        // trial but hopeless for the wedge's thousandfold settle window,
+        // and it counts solver steps, not wall-clock, so machine load
+        // cannot shed the control.
+        let campaign = Campaign::new(3).fuel(100_000);
         let trials = vec![Trial::control(), Trial::panicking(), Trial::wedged()];
         let run = campaign.run_adaptive(&trials, 2);
         assert_eq!(run.outcomes[0], TrialOutcome::CleanPass);

@@ -24,7 +24,8 @@ use sint_runtime::json::{Json, ToJson};
 use sint_runtime::pool::panic_message;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Deliberate in-trial sabotage, for exercising the campaign engine's
 /// failure-isolation path under test. Production trials use
@@ -40,8 +41,9 @@ pub enum TrialSabotage {
     /// The trial wedges: it runs a real session whose settle time is
     /// inflated a thousandfold, so a single transient takes far longer
     /// than any sane trial deadline. Requires the campaign to carry a
-    /// [`Campaign::deadline`] — without one the trial refuses with
-    /// [`CoreError::BadConfig`] instead of hanging the batch.
+    /// [`Campaign::deadline`] or a [`Campaign::fuel`] budget — without
+    /// one the trial refuses with [`CoreError::BadConfig`] instead of
+    /// hanging the batch.
     Wedge,
     /// The trial's scan chain carries an injected [`ScanFault`]: the
     /// pre-session self-check must refuse the session with
@@ -329,8 +331,9 @@ impl ToJson for TrialFailure {
 /// Why one trial was abandoned without a verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The trial's own wall-clock deadline fired mid-solve; the solver
-    /// stopped cooperatively at its next cancellation check.
+    /// The trial's own wall-clock deadline (or step budget, see
+    /// [`Campaign::fuel`]) fired mid-solve; the solver stopped
+    /// cooperatively at its next cancellation check.
     Deadline {
         /// Solver timestep at which the cancellation was observed.
         step: usize,
@@ -494,10 +497,17 @@ pub struct Campaign {
     variation: Option<(VariationSigma, u64)>,
     retry: RetryPolicy,
     deadline: Option<Duration>,
+    fuel: Option<u64>,
     budget: Option<Duration>,
     panel_width: Option<usize>,
     planner: Option<MethodPlanner>,
     adaptive: AdaptiveConfig,
+    /// The healthy bus's calibrated SD window, computed by the first
+    /// trial that needs it and shared by every clone: each die's build
+    /// would calibrate the same value on the same healthy bus. `None`
+    /// inside when calibration fails, so each trial reports the
+    /// failure itself.
+    sd_window: Arc<OnceLock<Option<f64>>>,
 }
 
 impl Campaign {
@@ -511,10 +521,12 @@ impl Campaign {
             variation: None,
             retry: RetryPolicy::default(),
             deadline: None,
+            fuel: None,
             budget: None,
             panel_width: None,
             planner: None,
             adaptive: AdaptiveConfig::default(),
+            sd_window: Arc::default(),
         }
     }
 
@@ -569,6 +581,7 @@ impl Campaign {
     #[must_use]
     pub fn bus_params(mut self, params: BusParams) -> Campaign {
         self.bus_params = params;
+        self.sd_window = Arc::default();
         self
     }
 
@@ -611,10 +624,16 @@ impl Campaign {
         self
     }
 
-    /// The per-trial deadline, if any.
+    /// Gives every trial a deterministic budget of `steps` solver
+    /// timesteps beside (or instead of) its wall-clock deadline: the
+    /// solver spends it at every cancellation poll, and a trial that
+    /// runs it dry is shed exactly like a deadline overrun. Where it
+    /// sheds depends only on the work the trial did, never on how busy
+    /// the machine is.
     #[must_use]
-    pub fn trial_deadline(&self) -> Option<Duration> {
-        self.deadline
+    pub fn fuel(mut self, steps: u64) -> Campaign {
+        self.fuel = Some(steps);
+        self
     }
 
     /// Bounds the whole batch's wall-clock: once the budget expires,
@@ -676,10 +695,10 @@ impl Campaign {
     pub(crate) fn trial_session_config(&self, trial: Trial) -> Result<SessionConfig, CoreError> {
         let mut config = match trial.sabotage {
             TrialSabotage::Wedge => {
-                if self.deadline.is_none() {
+                if self.deadline.is_none() && self.fuel.is_none() {
                     return Err(CoreError::config(
                         "a wedged trial needs a per-trial deadline to escape; \
-                         set Campaign::deadline",
+                         set Campaign::deadline or Campaign::fuel",
                     ));
                 }
                 SessionConfig { settle_time: self.config.settle_time * 1000.0, ..self.config }
@@ -692,9 +711,10 @@ impl Campaign {
         Ok(config)
     }
 
-    /// Builds one trial's SoC: bus parameters, sabotage chain fault,
-    /// panel width, per-die variation, the injected defect, the batch
-    /// engine's detector memo, and the per-trial deadline token.
+    /// Builds one trial's SoC: bus parameters, the campaign's calibrated
+    /// SD window, sabotage chain fault, panel width, per-die variation,
+    /// the injected defect, the batch engine's detector memo, and the
+    /// per-trial deadline / fuel token.
     pub(crate) fn build_trial_soc(
         &self,
         trial: Trial,
@@ -702,6 +722,10 @@ impl Campaign {
         memo: Option<&DetectorMemo>,
     ) -> Result<Soc, CoreError> {
         let mut builder = SocBuilder::new(self.wires).bus_params(self.bus_params.clone());
+        let calibrated = self.sd_window.get_or_init(|| builder.calibrated_sd_window().ok());
+        if let Some(window) = *calibrated {
+            builder = builder.sd_window(window);
+        }
         if let Some(memo) = memo {
             builder = builder.detector_memo(memo.clone());
         }
@@ -718,8 +742,9 @@ impl Campaign {
             builder = builder.defect(defect);
         }
         let mut soc = builder.build()?;
-        if let Some(per_trial) = self.deadline {
-            soc.set_cancel_token(Some(CancelToken::with_deadline(per_trial)));
+        if self.deadline.is_some() || self.fuel.is_some() {
+            let deadline = self.deadline.map(|per_trial| Instant::now() + per_trial);
+            soc.set_cancel_token(Some(CancelToken::with_limits(deadline, self.fuel)));
         }
         Ok(soc)
     }
@@ -1060,9 +1085,11 @@ mod tests {
 
     #[test]
     fn wedged_trial_is_shed_at_its_deadline_without_stalling_siblings() {
-        // A quarter second is an eternity for a healthy 3-wire session
-        // but far too short for the wedge's thousandfold settle window.
-        let campaign = Campaign::new(3).deadline(Duration::from_millis(250));
+        // A 3-wire session spends about 3 000 solver steps (one response
+        // basis of a thousand steps per wire); the wedge's thousandfold
+        // settle window needs a thousand times that. The budget sits
+        // far from both, so the outcome cannot depend on machine load.
+        let campaign = Campaign::new(3).fuel(100_000);
         let trials = [
             Trial::control(),
             Trial::wedged(),

@@ -252,26 +252,13 @@ impl<P: Payload> ToJson for Checkpoint<P> {
     }
 }
 
-/// Parses a snapshot document, refusing any object that repeats a key.
+/// Parses a snapshot document. An object repeating a key is a schema
+/// error, not a syntax one: the text is well-formed, its meaning is not.
 fn parse_document(text: &str) -> Result<Json, CheckpointError> {
-    fn check(json: &Json) -> Result<(), CheckpointError> {
-        match json {
-            Json::Object(pairs) => {
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if pairs[..i].iter().any(|(k, _)| k == key) {
-                        return Err(CheckpointError::schema(format!("duplicate key {key:?}")));
-                    }
-                    check(value)?;
-                }
-                Ok(())
-            }
-            Json::Array(items) => items.iter().try_for_each(check),
-            _ => Ok(()),
-        }
-    }
-    let root = Json::parse(text)?;
-    check(&root)?;
-    Ok(root)
+    Json::parse(text).map_err(|e| match e.duplicate_key {
+        Some(_) => CheckpointError::schema(e.message),
+        None => CheckpointError::Json(e),
+    })
 }
 
 /// One finished trial in a checkpoint, keyed by trial index *and* the

@@ -67,12 +67,6 @@ impl Pgbsc {
         self.ff3 = Logic::Zero;
     }
 
-    /// The victim-select bit currently in FF1.
-    #[must_use]
-    pub fn victim_select_bit(&self) -> Logic {
-        self.ff1
-    }
-
     /// Whether the cell is in victim mode under the given control.
     #[must_use]
     pub fn is_victim(&self, ctrl: &CellControl) -> bool {

@@ -184,12 +184,6 @@ impl FloorSpec {
         self.boards
     }
 
-    /// Trials each board runs.
-    #[must_use]
-    pub fn trials_each(&self) -> usize {
-        self.trials_per_board
-    }
-
     /// Bus width of every board — also the size of the chain a board
     /// supervisor's re-admission probe scans.
     #[must_use]

@@ -16,6 +16,9 @@
 //! * [`solver`] — modified nodal analysis with backward-Euler companion
 //!   models; the conductance matrix is factored once per (topology, dt)
 //!   and reused every step.
+//! * [`basis`] — per-wire unit responses of one bus, from which every
+//!   vector pair's receiver waveforms are superposed without a
+//!   transient.
 //! * [`drive`] — slew-limited piecewise-linear drivers; a vector pair
 //!   (the MA fault model's two consecutive test vectors) maps directly to
 //!   a set of drives.
@@ -48,6 +51,7 @@
 //! # }
 //! ```
 
+pub mod basis;
 pub mod corner;
 pub mod defect;
 pub mod drive;
@@ -58,6 +62,7 @@ pub mod params;
 pub mod solver;
 pub mod variation;
 
+pub use basis::ResponseBasis;
 pub use defect::Defect;
 pub use drive::{DriveLevel, VectorPair};
 pub use error::InterconnectError;

@@ -303,16 +303,6 @@ impl Bus {
         self.l_seg.iter().flatten().any(|l| *l > 0.0)
     }
 
-    /// Total series inductance of `wire` (H).
-    ///
-    /// # Errors
-    ///
-    /// [`InterconnectError::WireOutOfRange`] for a bad index.
-    pub fn wire_inductance(&self, wire: usize) -> Result<f64, InterconnectError> {
-        self.check_wire(wire)?;
-        Ok(self.l_seg[wire].iter().sum())
-    }
-
     /// Elmore-style time-constant estimate for one uncoupled wire (s):
     /// a quick sanity metric, not used by the solver.
     #[must_use]

@@ -43,7 +43,7 @@
 //! feature) as a runtime-selectable reference implementation; the
 //! property suite pins the two engines together to ≤ 1e-9 V.
 
-use crate::drive::{Stimulus, VectorPair};
+use crate::drive::{RampSource, Stimulus, VectorPair};
 use crate::error::InterconnectError;
 use crate::linalg::{Banded, BandedLu, Panel, RankUpdatedLu};
 #[cfg(feature = "dense-oracle")]
@@ -51,11 +51,12 @@ use crate::linalg::{LuFactors, Matrix};
 use crate::params::Bus;
 use sint_runtime::cancel::CancelToken;
 
-/// How many timesteps run between cancellation-token deadline polls on
-/// the cancellable entry points. The poll is one `Instant::now()`
-/// comparison; at this stride its cost is far below 1% of the banded
-/// solve work per interval, while a wedged run is still cut off within
-/// a few microseconds of wall clock.
+/// How many timesteps run between cancellation-token polls on the
+/// cancellable entry points. Each poll spends that many steps of the
+/// token's fuel (see [`CancelToken::spend_and_poll`]) and makes one
+/// `Instant::now()` comparison; at this stride its cost is far below 1%
+/// of the banded solve work per interval, while a wedged run is still
+/// cut off within a few microseconds of wall clock.
 pub const CANCEL_CHECK_INTERVAL: usize = 32;
 
 /// Default time the drivers launch their edge after simulation start.
@@ -709,6 +710,23 @@ impl TransientSim {
         self.switch_at
     }
 
+    /// Timesteps a `duration`-second run takes. Epsilon guard: 1e-9 /
+    /// 1e-12 must give exactly 1000 steps despite floating-point
+    /// representation of the quotient.
+    pub(crate) fn step_count(&self, duration: f64) -> usize {
+        ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize
+    }
+
+    /// Bus width.
+    pub(crate) fn wires(&self) -> usize {
+        self.bus.wires()
+    }
+
+    /// Supply voltage of the bus (V).
+    pub(crate) fn vdd(&self) -> f64 {
+        self.bus.vdd()
+    }
+
     /// Whether the augmented (inductive) formulation is active.
     #[must_use]
     pub fn is_rlc(&self) -> bool {
@@ -789,9 +807,7 @@ impl TransientSim {
                 width: self.bus.wires(),
             });
         }
-        // Epsilon guard: 1e-9/1e-12 must give exactly 1000 steps despite
-        // floating-point representation of the quotient.
-        let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
+        let steps = self.step_count(duration);
         scratch.reset(self.engine.dim());
         let w = self.bus.wires();
         let mut recv = vec![Vec::with_capacity(steps + 1); w];
@@ -1111,39 +1127,6 @@ impl TransientSim {
         Ok(wp)
     }
 
-    /// Grows `scratch` and `out` up front to hold a run of up to
-    /// `patterns` patterns over `duration`, so a caller whose batch
-    /// sizes vary holds one allocation per buffer at the full size
-    /// instead of growing each buffer batch by batch. A no-op once
-    /// the capacity is there.
-    pub fn reserve_panel(
-        &self,
-        patterns: usize,
-        duration: f64,
-        scratch: &mut PanelScratch,
-        out: &mut WavePanel,
-    ) {
-        fn reserve_len(buf: &mut Vec<f64>, len: usize) {
-            buf.reserve_exact(len.saturating_sub(buf.len()));
-        }
-        let samples = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize + 1;
-        let wires = self.bus.wires();
-        // The lane kernels run at most 8 patterns at a time.
-        let lanes = patterns.min(8);
-        reserve_len(&mut scratch.stage, samples * 2 * wires * lanes);
-        reserve_len(&mut scratch.lanes, self.engine.dim() * lanes);
-        reserve_len(&mut scratch.lrhs, self.engine.dim() * lanes);
-        for buf in [&mut out.receiver, &mut out.driver] {
-            let len = patterns * wires * samples;
-            if buf.capacity() < len {
-                // A fresh zeroed allocation: the allocator maps large
-                // ones from zero pages, so the part a run never writes
-                // costs no resident memory.
-                *buf = vec![0.0; len];
-            }
-        }
-    }
-
     /// As [`TransientSim::run_pairs_cancellable`], writing into a
     /// caller-owned [`WavePanel`] whose buffers are reused across calls:
     /// a loop of batches then allocates its waveform storage once
@@ -1168,7 +1151,11 @@ impl TransientSim {
         self.run_panel_into(&stimuli, duration, scratch, cancel, out)
     }
 
-    /// The batched banded panel loop (both formulations).
+    /// The batched banded panel loop (both formulations): direct
+    /// factors run the interleaved lane-block kernel in blocks of 8
+    /// (then 4, then 1) patterns; low-rank-updated factors keep the
+    /// column-major [`Panel`] loop (their Woodbury correction is
+    /// rank-bound, not kernel-bound).
     fn run_panel_attempt(
         &self,
         stimuli: &[Stimulus],
@@ -1177,22 +1164,171 @@ impl TransientSim {
         cancel: Option<&CancelToken>,
         wp: &mut WavePanel,
     ) -> Result<(), InterconnectError> {
-        let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
+        let steps = self.step_count(duration);
         scratch.reset(self.engine.dim(), stimuli.len());
         wp.reset(self, stimuli.len(), steps + 1);
-        match &self.engine {
-            Engine::BandedRc(e) => {
-                self.run_banded_rc_panel(e, stimuli, steps, scratch, wp, cancel)?;
-            }
-            Engine::BandedRlc(e) => {
-                self.run_banded_rlc_panel(e, stimuli, steps, scratch, wp, cancel)?;
-            }
-            #[cfg(feature = "dense-oracle")]
-            Engine::DenseRc(_) | Engine::DenseRlc(_) => {
-                unreachable!("dense panel runs go through the sequential path")
+        let Some(sys) = self.lane_system() else {
+            let Engine::BandedRc(e) = &self.engine else {
+                unreachable!("dense engines run sequentially; of the banded ones only rank-updated RC lacks a lane kernel")
+            };
+            return self.run_banded_rc_panel_cols(e, stimuli, steps, scratch, wp, cancel);
+        };
+        for (c0, width) in lane_blocks(stimuli.len()) {
+            let block = &stimuli[c0..c0 + width];
+            match width {
+                8 => self.panel_block::<8>(&sys, block, c0, steps, scratch, wp, cancel)?,
+                4 => self.panel_block::<4>(&sys, block, c0, steps, scratch, wp, cancel)?,
+                _ => self.panel_block::<1>(&sys, block, c0, steps, scratch, wp, cancel)?,
             }
         }
         Ok(())
+    }
+
+    /// One `W`-pattern block of a panel run: the lane kernel stages each
+    /// step's probe read-outs row by row, then one blocked transpose
+    /// scatters them into patterns `c0..c0 + W` of the [`WavePanel`].
+    #[allow(clippy::too_many_arguments)]
+    fn panel_block<const W: usize>(
+        &self,
+        sys: &LaneSystem<'_>,
+        stimuli: &[Stimulus],
+        c0: usize,
+        steps: usize,
+        scratch: &mut PanelScratch,
+        wp: &mut WavePanel,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), InterconnectError> {
+        let wires = sys.recv_nodes.len();
+        let row = 2 * wires * W;
+        let PanelScratch { lanes, lrhs, stage, .. } = scratch;
+        stage.clear();
+        stage.resize((steps + 1) * row, 0.0);
+        run_lanes::<W>(sys, self.dt, stimuli, steps, lanes, lrhs, cancel, |k, state| {
+            stage_lanes(sys.recv_nodes, sys.drv_nodes, state, W, &mut stage[k * row..(k + 1) * row]);
+        })?;
+        scatter_stage(stage, W, wires, wp, c0);
+        Ok(())
+    }
+
+    /// The banded pieces the lane kernel needs, borrowed from either
+    /// formulation; `None` for engines without one (low-rank-updated
+    /// RC factors and the dense oracle).
+    fn lane_system(&self) -> Option<LaneSystem<'_>> {
+        match &self.engine {
+            Engine::BandedRc(e) => match &e.a_lu {
+                RcFactor::Direct(a_lu) => Some(LaneSystem {
+                    dim: e.dim,
+                    dc_lu: &e.g_lu,
+                    hist: &e.c_over_h,
+                    a_lu,
+                    sources: Sources::Norton { nodes: &e.drv_nodes, g: &e.g_drv },
+                    recv_nodes: &e.recv_nodes,
+                    drv_nodes: &e.drv_nodes,
+                }),
+                RcFactor::Updated(_) => None,
+            },
+            Engine::BandedRlc(e) => Some(LaneSystem {
+                dim: e.dim,
+                dc_lu: &e.dc_lu,
+                hist: &e.hist,
+                a_lu: &e.a_lu,
+                sources: Sources::Branch(&e.drv_branches),
+                recv_nodes: &e.recv_nodes,
+                drv_nodes: &e.drv_nodes,
+            }),
+            #[cfg(feature = "dense-oracle")]
+            Engine::DenseRc(_) | Engine::DenseRlc(_) => None,
+        }
+    }
+
+    /// Receiver-end responses for a [`crate::basis::ResponseBasis`]:
+    /// for every wire `j`, the run in which `j`'s source alone ramps
+    /// 0 → 1 V (the bus's edge, launched at the switch time) from rest
+    /// while every other source holds 0 V. `record(k, j, receivers)`
+    /// receives the receiver-end voltage of every wire at step `k`.
+    ///
+    /// Engines with a lane kernel advance the wires 8 (then 4, then 1)
+    /// at a time; the others run one scalar transient per wire. Both
+    /// poll `cancel` every [`CANCEL_CHECK_INTERVAL`] steps of each run.
+    pub(crate) fn unit_ramp_responses(
+        &self,
+        steps: usize,
+        cancel: Option<&CancelToken>,
+        mut record: impl FnMut(usize, usize, &[f64]),
+    ) -> Result<(), InterconnectError> {
+        let wires = self.bus.wires();
+        let stimuli: Vec<Stimulus> = (0..wires).map(|j| self.unit_stimulus(j, 0.0, 1.0)).collect();
+        let Some(sys) = self.lane_system() else {
+            let mut scratch = SimScratch::new();
+            let mut receivers = vec![0.0; wires];
+            let duration = steps as f64 * self.dt;
+            for (j, stim) in stimuli.iter().enumerate() {
+                let waves = self.run_cancellable(stim, duration, &mut scratch, cancel)?;
+                for k in 0..=steps {
+                    for (w, v) in receivers.iter_mut().enumerate() {
+                        *v = waves.wire(w)[k];
+                    }
+                    record(k, j, &receivers);
+                }
+            }
+            return Ok(());
+        };
+        let (mut lanes, mut lrhs) = (Vec::new(), Vec::new());
+        let mut receivers = vec![0.0; wires];
+        let mut gather = |j0: usize, width: usize, k: usize, state: &[f64]| {
+            for c in 0..width {
+                for (v, &node) in receivers.iter_mut().zip(sys.recv_nodes) {
+                    *v = state[node * width + c];
+                }
+                record(k, j0 + c, &receivers);
+            }
+        };
+        for (j0, width) in lane_blocks(wires) {
+            let block = &stimuli[j0..j0 + width];
+            let (lanes, lrhs) = (&mut lanes, &mut lrhs);
+            match width {
+                8 => run_lanes::<8>(&sys, self.dt, block, steps, lanes, lrhs, cancel, |k, st| {
+                    gather(j0, 8, k, st);
+                })?,
+                4 => run_lanes::<4>(&sys, self.dt, block, steps, lanes, lrhs, cancel, |k, st| {
+                    gather(j0, 4, k, st);
+                })?,
+                _ => run_lanes::<1>(&sys, self.dt, block, steps, lanes, lrhs, cancel, |k, st| {
+                    gather(j0, 1, k, st);
+                })?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Receiver-end DC operating point for every wire `j` whose source
+    /// alone sits at 1 V: `record(j, receivers)`. Each is the first
+    /// sample of a one-step run, so it is exactly the DC solve the
+    /// transient entry points start from.
+    pub(crate) fn unit_dc_responses(
+        &self,
+        mut record: impl FnMut(usize, &[f64]),
+    ) -> Result<(), InterconnectError> {
+        let wires = self.bus.wires();
+        let mut scratch = SimScratch::new();
+        let mut receivers = vec![0.0; wires];
+        for j in 0..wires {
+            let waves = self.run_cancellable(&self.unit_stimulus(j, 1.0, 1.0), self.dt, &mut scratch, None)?;
+            for (w, v) in receivers.iter_mut().enumerate() {
+                *v = waves.wire(w)[0];
+            }
+            record(j, &receivers);
+        }
+        Ok(())
+    }
+
+    /// The stimulus driving wire `j` from `v0` to `v1` volts on the
+    /// bus's edge while every other source holds 0 V.
+    fn unit_stimulus(&self, j: usize, v0: f64, v1: f64) -> Stimulus {
+        let quiet = RampSource { v0: 0.0, v1: 0.0, t_switch: self.switch_at, ramp: self.bus.rise_time() };
+        let mut sources = vec![quiet; self.bus.wires()];
+        sources[j] = RampSource { v0, v1, ..quiet };
+        Stimulus::from_sources(sources)
     }
 
     /// The scalar-sequential reference: one [`TransientSim::run_cancellable`]
@@ -1208,7 +1344,7 @@ impl TransientSim {
         cancel: Option<&CancelToken>,
         wp: &mut WavePanel,
     ) -> Result<(), InterconnectError> {
-        let steps = ((duration / self.dt) - 1e-9).ceil().max(1.0) as usize;
+        let steps = self.step_count(duration);
         let samples = steps + 1;
         let w = self.bus.wires();
         wp.reset(self, stimuli.len(), samples);
@@ -1221,88 +1357,6 @@ impl TransientSim {
                 wp.driver[at..at + samples].copy_from_slice(waves.driver_end(wire));
             }
         }
-        Ok(())
-    }
-
-    /// Banded-RC panel dispatch: direct factors run the interleaved
-    /// lane-block fast path in chunks of 8 (then 4, then 1) patterns;
-    /// low-rank-updated factors keep the column-major [`Panel`] loop
-    /// (their Woodbury correction is rank-bound, not kernel-bound).
-    #[allow(clippy::too_many_arguments)]
-    fn run_banded_rc_panel(
-        &self,
-        e: &BandedRcEngine,
-        stimuli: &[Stimulus],
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let RcFactor::Direct(a_lu) = &e.a_lu else {
-            return self.run_banded_rc_panel_cols(e, stimuli, steps, scratch, wp, cancel);
-        };
-        let mut done = 0;
-        while stimuli.len() - done >= 8 {
-            self.run_rc_lanes::<8>(e, a_lu, &stimuli[done..done + 8], done, steps, scratch, wp, cancel)?;
-            done += 8;
-        }
-        while stimuli.len() - done >= 4 {
-            self.run_rc_lanes::<4>(e, a_lu, &stimuli[done..done + 4], done, steps, scratch, wp, cancel)?;
-            done += 4;
-        }
-        while done < stimuli.len() {
-            self.run_rc_lanes::<1>(e, a_lu, &stimuli[done..done + 1], done, steps, scratch, wp, cancel)?;
-            done += 1;
-        }
-        Ok(())
-    }
-
-    /// One `W`-wide lane block of the banded-RC timestep loop: state and
-    /// right-hand side stay interleaved (`buf[i·W + c]`) across the whole
-    /// loop, so the multiply and both substitutions run `W`-wide
-    /// contiguous fused-multiply-adds with no per-step transposes.
-    #[allow(clippy::too_many_arguments)]
-    fn run_rc_lanes<const W: usize>(
-        &self,
-        e: &BandedRcEngine,
-        a_lu: &BandedLu,
-        stimuli: &[Stimulus],
-        c0: usize,
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let n = e.dim;
-        let wires = e.recv_nodes.len();
-        let row = 2 * wires * W;
-        let PanelScratch { lanes, lrhs, stage, .. } = scratch;
-        lanes.clear();
-        lanes.resize(n * W, 0.0);
-        lrhs.clear();
-        lrhs.resize(n * W, 0.0);
-        stage.clear();
-        stage.resize((steps + 1) * row, 0.0);
-        // DC operating point per lane.
-        for (c, stim) in stimuli.iter().enumerate() {
-            stamp_rc_lane(e, stim, 0.0, lanes, W, c);
-        }
-        e.g_lu.solve_interleaved_into::<W>(lanes);
-        check_finite_lanes(lanes, W, 0)?;
-        stage_lanes(&e.recv_nodes, &e.drv_nodes, lanes, W, &mut stage[..row]);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.c_over_h.mul_interleaved_into::<W>(lanes, lrhs);
-            for (c, stim) in stimuli.iter().enumerate() {
-                stamp_rc_lane(e, stim, t, lrhs, W, c);
-            }
-            a_lu.solve_interleaved_into::<W>(lrhs);
-            std::mem::swap(lanes, lrhs);
-            check_finite_lanes(lanes, W, k)?;
-            stage_lanes(&e.recv_nodes, &e.drv_nodes, lanes, W, &mut stage[k * row..(k + 1) * row]);
-        }
-        scatter_stage(stage, W, wires, wp, c0);
         Ok(())
     }
 
@@ -1338,79 +1392,6 @@ impl TransientSim {
             check_finite_panel(state, k)?;
             collect_panel(&e.recv_nodes, &e.drv_nodes, state, wp, k);
         }
-        Ok(())
-    }
-
-    /// Banded-RLC panel dispatch: always direct factors, so every chunk
-    /// runs the interleaved lane-block fast path.
-    #[allow(clippy::too_many_arguments)]
-    fn run_banded_rlc_panel(
-        &self,
-        e: &BandedRlcEngine,
-        stimuli: &[Stimulus],
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let mut done = 0;
-        while stimuli.len() - done >= 8 {
-            self.run_rlc_lanes::<8>(e, &stimuli[done..done + 8], done, steps, scratch, wp, cancel)?;
-            done += 8;
-        }
-        while stimuli.len() - done >= 4 {
-            self.run_rlc_lanes::<4>(e, &stimuli[done..done + 4], done, steps, scratch, wp, cancel)?;
-            done += 4;
-        }
-        while done < stimuli.len() {
-            self.run_rlc_lanes::<1>(e, &stimuli[done..done + 1], done, steps, scratch, wp, cancel)?;
-            done += 1;
-        }
-        Ok(())
-    }
-
-    /// One `W`-wide lane block of the banded-RLC (augmented-MNA)
-    /// timestep loop; mirrors [`TransientSim::run_rc_lanes`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_rlc_lanes<const W: usize>(
-        &self,
-        e: &BandedRlcEngine,
-        stimuli: &[Stimulus],
-        c0: usize,
-        steps: usize,
-        scratch: &mut PanelScratch,
-        wp: &mut WavePanel,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), InterconnectError> {
-        let n = e.dim;
-        let wires = e.recv_nodes.len();
-        let row = 2 * wires * W;
-        let PanelScratch { lanes, lrhs, stage, .. } = scratch;
-        lanes.clear();
-        lanes.resize(n * W, 0.0);
-        lrhs.clear();
-        lrhs.resize(n * W, 0.0);
-        stage.clear();
-        stage.resize((steps + 1) * row, 0.0);
-        for (c, stim) in stimuli.iter().enumerate() {
-            stamp_rlc_lane(&e.drv_branches, stim, 0.0, lanes, W, c);
-        }
-        e.dc_lu.solve_interleaved_into::<W>(lanes);
-        check_finite_lanes(lanes, W, 0)?;
-        stage_lanes(&e.recv_nodes, &e.drv_nodes, lanes, W, &mut stage[..row]);
-        for k in 1..=steps {
-            check_cancel(cancel, k)?;
-            let t = k as f64 * self.dt;
-            e.hist.mul_interleaved_into::<W>(lanes, lrhs);
-            for (c, stim) in stimuli.iter().enumerate() {
-                stamp_rlc_lane(&e.drv_branches, stim, t, lrhs, W, c);
-            }
-            e.a_lu.solve_interleaved_into::<W>(lrhs);
-            std::mem::swap(lanes, lrhs);
-            check_finite_lanes(lanes, W, k)?;
-            stage_lanes(&e.recv_nodes, &e.drv_nodes, lanes, W, &mut stage[k * row..(k + 1) * row]);
-        }
-        scatter_stage(stage, W, wires, wp, c0);
         Ok(())
     }
 
@@ -1553,34 +1534,117 @@ fn stamp_rlc_sources(drv_branches: &[usize], stimulus: &Stimulus, t: f64, rhs: &
     }
 }
 
-/// [`stamp_rc_sources`] into lane `c` of a `w`-interleaved block.
-fn stamp_rc_lane(e: &BandedRcEngine, stimulus: &Stimulus, t: f64, rhs: &mut [f64], w: usize, c: usize) {
-    for (wire, (&node, &gd)) in e.drv_nodes.iter().zip(&e.g_drv).enumerate() {
-        rhs[node * w + c] += gd * stimulus.voltage(wire, t);
+/// The banded pieces one lane-kernel run needs, borrowed from either
+/// formulation: the DC and transient factors, the history matrix and
+/// how the drivers enter the right-hand side.
+struct LaneSystem<'a> {
+    dim: usize,
+    dc_lu: &'a BandedLu,
+    hist: &'a Banded,
+    a_lu: &'a BandedLu,
+    sources: Sources<'a>,
+    recv_nodes: &'a [usize],
+    drv_nodes: &'a [usize],
+}
+
+/// How driver sources enter a right-hand side.
+enum Sources<'a> {
+    /// RC: Norton current `g·v` into each wire's driver-end node.
+    Norton { nodes: &'a [usize], g: &'a [f64] },
+    /// RLC: `−v` on each wire's driver branch row.
+    Branch(&'a [usize]),
+}
+
+impl Sources<'_> {
+    /// Stamps `stimulus` at time `t` into lane `c` of a `w`-interleaved
+    /// block ([`stamp_rc_sources`] / [`stamp_rlc_sources`] per lane).
+    fn stamp_lane(&self, stimulus: &Stimulus, t: f64, rhs: &mut [f64], w: usize, c: usize) {
+        match self {
+            Sources::Norton { nodes, g } => {
+                for (wire, (&node, &gd)) in nodes.iter().zip(*g).enumerate() {
+                    rhs[node * w + c] += gd * stimulus.voltage(wire, t);
+                }
+            }
+            Sources::Branch(rows) => {
+                for (wire, &row) in rows.iter().enumerate() {
+                    rhs[row * w + c] -= stimulus.voltage(wire, t);
+                }
+            }
+        }
     }
 }
 
-/// [`stamp_rlc_sources`] into lane `c` of a `w`-interleaved block.
-fn stamp_rlc_lane(
-    drv_branches: &[usize],
-    stimulus: &Stimulus,
-    t: f64,
-    rhs: &mut [f64],
-    w: usize,
-    c: usize,
-) {
-    for (wire, &row) in drv_branches.iter().enumerate() {
-        rhs[row * w + c] -= stimulus.voltage(wire, t);
+/// Splits `count` lanes into `(start, width)` blocks: 8 wide while at
+/// least 8 remain, then 4, then 1 — the widths the lane kernel is
+/// instantiated at.
+fn lane_blocks(count: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let width = match count - start {
+            0 => return None,
+            left if left >= 8 => 8,
+            left if left >= 4 => 4,
+            _ => 1,
+        };
+        start += width;
+        Some((start - width, width))
+    })
+}
+
+/// One `W`-wide lane block of the banded timestep loop (both
+/// formulations): state and right-hand side stay interleaved
+/// (`buf[i·W + c]`) across the whole loop, so the multiply and both
+/// substitutions run `W`-wide contiguous fused-multiply-adds with no
+/// per-step transposes. `record(k, state)` sees the interleaved state
+/// after step `k` (0 = the DC operating point).
+#[allow(clippy::too_many_arguments)]
+fn run_lanes<const W: usize>(
+    sys: &LaneSystem<'_>,
+    dt: f64,
+    stimuli: &[Stimulus],
+    steps: usize,
+    lanes: &mut Vec<f64>,
+    lrhs: &mut Vec<f64>,
+    cancel: Option<&CancelToken>,
+    mut record: impl FnMut(usize, &[f64]),
+) -> Result<(), InterconnectError> {
+    let n = sys.dim;
+    lanes.clear();
+    lanes.resize(n * W, 0.0);
+    lrhs.clear();
+    lrhs.resize(n * W, 0.0);
+    // DC operating point per lane.
+    for (c, stim) in stimuli.iter().enumerate() {
+        sys.sources.stamp_lane(stim, 0.0, lanes, W, c);
     }
+    sys.dc_lu.solve_interleaved_into::<W>(lanes);
+    check_finite_lanes(lanes, W, 0)?;
+    record(0, lanes);
+    for k in 1..=steps {
+        check_cancel(cancel, k)?;
+        let t = k as f64 * dt;
+        sys.hist.mul_interleaved_into::<W>(lanes, lrhs);
+        for (c, stim) in stimuli.iter().enumerate() {
+            sys.sources.stamp_lane(stim, t, lrhs, W, c);
+        }
+        sys.a_lu.solve_interleaved_into::<W>(lrhs);
+        std::mem::swap(lanes, lrhs);
+        check_finite_lanes(lanes, W, k)?;
+        record(k, lanes);
+    }
+    Ok(())
 }
 
 /// Fails the run with [`InterconnectError::Cancelled`] when the token
-/// has fired, polling the wall-clock deadline only every
-/// [`CANCEL_CHECK_INTERVAL`] steps so the hot loop never pays an
+/// has fired, polling only every [`CANCEL_CHECK_INTERVAL`] steps (and
+/// spending that many steps of its fuel) so the hot loop never pays an
 /// `Instant::now()` per timestep.
-fn check_cancel(cancel: Option<&CancelToken>, step: usize) -> Result<(), InterconnectError> {
+pub(crate) fn check_cancel(cancel: Option<&CancelToken>, step: usize) -> Result<(), InterconnectError> {
     match cancel {
-        Some(token) if step.is_multiple_of(CANCEL_CHECK_INTERVAL) && token.poll_deadline() => {
+        Some(token)
+            if step.is_multiple_of(CANCEL_CHECK_INTERVAL)
+                && token.spend_and_poll(CANCEL_CHECK_INTERVAL as u64) =>
+        {
             Err(InterconnectError::Cancelled { step })
         }
         _ => Ok(()),

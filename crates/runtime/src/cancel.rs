@@ -1,4 +1,5 @@
-//! Cooperative cancellation with optional wall-clock deadlines.
+//! Cooperative cancellation with optional wall-clock deadlines and
+//! deterministic step budgets.
 //!
 //! Long campaigns must never hang on a single wedged solve: every
 //! compute loop in the workspace (solver timesteps, campaign trial
@@ -9,7 +10,7 @@
 //! wall-clock comparison ([`CancelToken::poll_deadline`]) is only paid
 //! at the caller's chosen check interval.
 //!
-//! Two ways a token fires:
+//! Three ways a token fires:
 //!
 //! 1. **Explicit** — any clone calls [`CancelToken::cancel`]; every
 //!    other clone observes it on its next poll.
@@ -19,6 +20,13 @@
 //!    makes the answer sticky: once a token has fired it stays fired,
 //!    so racing observers cannot disagree about whether a run was cut
 //!    short.
+//! 3. **Fuel** — a token built with [`CancelToken::with_fuel`] carries a
+//!    budget of work steps (solver timesteps, in this workspace). Each
+//!    [`CancelToken::spend_and_poll`] burns the steps run since the last
+//!    poll and latches the token once the budget is gone. No clock is
+//!    read, so where a run stops depends only on the work it did — the
+//!    same on an idle machine and under full load, like
+//!    [`crate::backoff::VirtualClock`].
 //!
 //! Tokens also form a **hierarchy**: [`CancelToken::child`] and
 //! [`CancelToken::child_with_deadline`] derive tokens that fire when
@@ -28,7 +36,7 @@
 //! fleet-wide token: cancelling the fleet stops every client, an
 //! overrunning client's budget firing stops only that client.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,6 +53,8 @@ pub struct CancelToken {
 struct Inner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
+    /// Steps left before the token fires; `None` means no step budget.
+    fuel: Option<AtomicU64>,
     /// Upward link of the token hierarchy: a child observes its
     /// ancestors' flags and deadlines, never the other way around.
     parent: Option<Arc<Inner>>,
@@ -58,11 +68,20 @@ impl Inner {
             || self.parent.as_deref().is_some_and(Inner::flag_fired)
     }
 
-    /// Checks flags and deadlines up the chain, latching whichever
-    /// level's deadline has passed. Returns whether anything fired.
-    fn poll(&self) -> bool {
+    /// Burns `steps` of fuel and checks flags and deadlines up the
+    /// chain, latching whichever level's deadline has passed or fuel
+    /// has run out. Returns whether anything fired.
+    fn poll(&self, steps: u64) -> bool {
         if self.cancelled.load(Ordering::Relaxed) {
             return true;
+        }
+        if let Some(fuel) = &self.fuel {
+            let spend = |left: u64| Some(left.saturating_sub(steps));
+            let before = fuel.fetch_update(Ordering::Relaxed, Ordering::Relaxed, spend);
+            if before.is_ok_and(|left| left <= steps) && steps > 0 {
+                self.cancelled.store(true, Ordering::Relaxed);
+                return true;
+            }
         }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
@@ -70,7 +89,7 @@ impl Inner {
                 return true;
             }
         }
-        self.parent.as_deref().is_some_and(Inner::poll)
+        self.parent.as_deref().is_some_and(|parent| parent.poll(steps))
     }
 }
 
@@ -93,10 +112,26 @@ impl CancelToken {
     /// A token that self-cancels once `deadline` has passed.
     #[must_use]
     pub fn at(deadline: Instant) -> CancelToken {
+        CancelToken::with_limits(Some(deadline), None)
+    }
+
+    /// A token that self-cancels once `steps` work steps have been
+    /// spent through [`CancelToken::spend_and_poll`]. A zero budget
+    /// fires at the first such poll.
+    #[must_use]
+    pub fn with_fuel(steps: u64) -> CancelToken {
+        CancelToken::with_limits(None, Some(steps))
+    }
+
+    /// A token with an optional deadline and an optional step budget,
+    /// firing on whichever runs out first.
+    #[must_use]
+    pub fn with_limits(deadline: Option<Instant>, fuel: Option<u64>) -> CancelToken {
         CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
-                deadline: Some(deadline),
+                deadline,
+                fuel: fuel.map(AtomicU64::new),
                 parent: None,
             }),
         }
@@ -111,6 +146,7 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
                 deadline: None,
+                fuel: None,
                 parent: Some(Arc::clone(&self.inner)),
             }),
         }
@@ -127,6 +163,7 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
                 deadline: Some(Instant::now() + budget),
+                fuel: None,
                 parent: Some(Arc::clone(&self.inner)),
             }),
         }
@@ -154,7 +191,17 @@ impl CancelToken {
     /// per hierarchy level on top of the atomic loads.
     #[must_use]
     pub fn poll_deadline(&self) -> bool {
-        self.inner.poll()
+        self.inner.poll(0)
+    }
+
+    /// As [`CancelToken::poll_deadline`], first spending `steps` of
+    /// fuel at this token and every ancestor that carries a step
+    /// budget. Compute loops call this at their check interval with the
+    /// steps run since their last poll; a budget that reaches zero
+    /// latches the token cancelled.
+    #[must_use]
+    pub fn spend_and_poll(&self, steps: u64) -> bool {
+        self.inner.poll(steps)
     }
 
     /// The configured deadline, if any.
@@ -239,6 +286,44 @@ mod tests {
         assert!(client.poll_deadline(), "expired child budget fires");
         assert!(client.is_cancelled());
         assert!(!fleet.is_cancelled(), "budget overrun stays with the child");
+    }
+
+    #[test]
+    fn fuel_fires_after_exactly_its_budget() {
+        let token = CancelToken::with_fuel(96);
+        assert!(!token.spend_and_poll(32));
+        assert!(!token.spend_and_poll(32));
+        assert!(!token.poll_deadline(), "a plain poll spends nothing");
+        assert!(!token.is_cancelled());
+        assert!(token.spend_and_poll(32), "the third interval empties the tank");
+        assert!(token.is_cancelled(), "exhaustion is latched");
+        assert!(token.poll_deadline());
+    }
+
+    #[test]
+    fn zero_fuel_fires_at_the_first_spend() {
+        let token = CancelToken::with_fuel(0);
+        assert!(!token.poll_deadline(), "nothing spent yet");
+        assert!(token.spend_and_poll(1));
+    }
+
+    #[test]
+    fn fuel_and_deadline_fire_on_whichever_runs_out_first() {
+        let far = Instant::now() + Duration::from_secs(3600);
+        let token = CancelToken::with_limits(Some(far), Some(64));
+        assert!(!token.spend_and_poll(32));
+        assert!(token.spend_and_poll(32), "fuel beats the distant deadline");
+        let late = CancelToken::with_limits(Some(Instant::now()), Some(1 << 40));
+        assert!(late.spend_and_poll(32), "the expired deadline beats the fuel");
+    }
+
+    #[test]
+    fn children_spend_their_ancestors_fuel() {
+        let trial = CancelToken::with_fuel(64);
+        let solve = trial.child();
+        assert!(!solve.spend_and_poll(32));
+        assert!(solve.spend_and_poll(32), "the parent's budget is shared");
+        assert!(trial.is_cancelled());
     }
 
     #[test]

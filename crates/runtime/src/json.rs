@@ -178,6 +178,9 @@ pub struct JsonParseError {
     pub offset: usize,
     /// What was wrong at that offset.
     pub message: String,
+    /// The repeated key, when the fault is an object naming one key
+    /// twice — well-formed text that no loader can read unambiguously.
+    pub duplicate_key: Option<String>,
 }
 
 impl std::fmt::Display for JsonParseError {
@@ -200,8 +203,9 @@ impl Json {
     /// # Errors
     ///
     /// [`JsonParseError`] with the byte offset of the first malformed
-    /// construct (truncated input, bad escape, trailing garbage, or
-    /// nesting deeper than 128 levels).
+    /// construct (truncated input, bad escape, a key repeated within
+    /// one object, trailing garbage, or nesting deeper than 128
+    /// levels).
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
@@ -282,7 +286,7 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn err(&self, message: &str) -> JsonParseError {
-        JsonParseError { offset: self.pos, message: message.to_string() }
+        JsonParseError { offset: self.pos, message: message.to_string(), duplicate_key: None }
     }
 
     fn skip_ws(&mut self) {
@@ -358,7 +362,13 @@ impl Parser<'_> {
             if self.bytes.get(self.pos) != Some(&b'"') {
                 return Err(self.err("expected a string key"));
             }
+            let key_at = self.pos;
             let key = self.string()?;
+            if pairs.iter().any(|(k, _)| *k == key) {
+                self.pos = key_at;
+                let message = format!("duplicate key {key:?}");
+                return Err(JsonParseError { duplicate_key: Some(key), ..self.err(&message) });
+            }
             self.skip_ws();
             if !self.eat(b':') {
                 return Err(self.err("expected `:` after object key"));
@@ -617,6 +627,17 @@ mod tests {
             s.to_json().render(),
             r#""a\"b\\c\nd\te\rf\bg\fh\u0001i""#
         );
+    }
+
+    #[test]
+    fn repeated_keys_are_refused_at_the_repeat() {
+        let e = Json::parse(r#"{"a":1,"b":{"c":2,"c":3}}"#).unwrap_err();
+        assert_eq!(e.duplicate_key.as_deref(), Some("c"));
+        assert_eq!(e.offset, 18, "{e}");
+        assert!(e.message.contains(r#"duplicate key "c""#), "{e}");
+        let e = Json::parse("[1,").unwrap_err();
+        assert_eq!(e.duplicate_key, None);
+        assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok(), "keys repeat only within one object");
     }
 
     #[test]

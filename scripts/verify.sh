@@ -330,4 +330,20 @@ if ! cmp "$tmp/ref_summary.json" "$tmp/memo_t8_summary.json"; then
 fi
 echo "detector memo: summaries byte-identical to the scalar, memo-free runs"
 
+# Benchmark correctness gates: one short untraced run per perfbench
+# workload. Each run checks its own outputs — Table 6 TCK closed forms
+# on session_mix, the attributed oracle and pass-to-pass byte identity
+# on adaptive_sparse, record replay on fleet_floor — and exits non-zero
+# if any gate fails. Only the exit status is checked here, never a
+# timing.
+for workload in session_mix adaptive_sparse fleet_floor; do
+    if ! cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 >"$tmp/perfbench.out"; then
+        cat "$tmp/perfbench.out" >&2
+        echo "verify: FAIL — perfbench $workload correctness gates" >&2
+        exit 1
+    fi
+done
+echo "perfbench: every workload's correctness gates hold"
+
 echo "verify: OK"

@@ -15,11 +15,14 @@ use sint::core::mafm::{
     fault_pair, pgbsc_vector, CoverageLedger, CoverageReport, IntegrityFault,
 };
 use sint::core::nd::{NdThresholds, NoiseDetector};
+use sint::core::sd::SdWindow;
 use sint::core::session::{ObservationMethod, SessionConfig};
 use sint::core::soc::{SessionPlan, SocBuilder};
+use sint::interconnect::basis::ResponseBasis;
 use sint::interconnect::defect::Defect;
 use sint::interconnect::drive::{DriveLevel, VectorPair};
 use sint::interconnect::linalg::Matrix;
+use sint::interconnect::measure::settled_value;
 use sint::interconnect::params::BusParams;
 use sint::interconnect::solver::{PanelScratch, SolverBackend, TransientSim, DEFAULT_SWITCH_AT};
 use sint::interconnect::variation::{apply_variation, SplitMix64, VariationSigma};
@@ -536,6 +539,94 @@ fn banded_engine_matches_dense_oracle() {
 }
 
 #[test]
+fn response_basis_matches_direct_solve() {
+    // Superposing a pair from the bus's unit responses must reproduce
+    // the direct transient to rounding — on random RC and RLC buses of
+    // 2–32 wires with process variation and a defect of every kind, at
+    // both solver grids — and reduce to the same ND, SD and settled
+    // bits. Every MA pair of the bus is checked, plus random non-MA
+    // pairs (the general superposition path).
+    Runner::new("basis_matches_direct").cases(12).run(
+        |rng| {
+            let wires = gen::usize_in(rng, 2..33);
+            let segments = gen::usize_in(rng, 1..4);
+            let inductive = gen::bool_any(rng);
+            let coarse = gen::bool_any(rng);
+            let seed = gen::u64_any(rng);
+            let wire = gen::usize_in(rng, 0..wires);
+            let defect = match gen::usize_in(rng, 0..4) {
+                0 => Defect::CouplingBoost { wire, factor: gen::f64_in(rng, 1.0..8.0) },
+                1 => Defect::PairCouplingBoost {
+                    left: wire.min(wires - 2),
+                    factor: gen::f64_in(rng, 1.0..8.0),
+                },
+                2 => Defect::ResistiveOpen {
+                    wire,
+                    segment: gen::usize_in(rng, 0..segments),
+                    extra_ohms: gen::f64_in(rng, 0.0..800.0),
+                },
+                _ => Defect::WeakDriver { wire, factor: gen::f64_in(rng, 1.0..5.0) },
+            };
+            let window = gen::f64_in(rng, 0.05e-9..0.4e-9);
+            let random: Vec<bool> = (0..8 * wires).map(|_| gen::bool_any(rng)).collect();
+            (wires, segments, inductive, coarse, seed, defect, window, random)
+        },
+        |(wires, segments, inductive, coarse, seed, defect, window, random)| {
+            let (w, s) = (*wires, *segments);
+            let mut params = BusParams::dsm_bus(w).segments(s);
+            if *inductive {
+                params = params.l_per_mm(0.4e-9).lm_per_mm(0.1e-9).rise_time(60e-12);
+            }
+            let mut bus = params.build().map_err(|e| e.to_string())?;
+            apply_variation(&mut bus, VariationSigma::typical(), *seed).map_err(|e| e.to_string())?;
+            defect.apply(&mut bus).map_err(|e| e.to_string())?;
+            let dt = if *coarse { 10e-12 } else { 2e-12 };
+            let duration = 0.5e-9;
+            let sim = TransientSim::new(&bus, dt).map_err(|e| e.to_string())?;
+            let basis = ResponseBasis::build(&sim, duration, None).map_err(|e| e.to_string())?;
+            let vdd = bus.vdd();
+            let (nd, sd) = (NdThresholds::for_vdd(vdd), SdWindow::for_vdd(*window, vdd));
+            let bits = |wave: &[f64], pair: &VectorPair, wire: usize| {
+                (
+                    nd.violated_by(wave, vdd),
+                    pair.switches(wire)
+                        && sd.violated_by(wave, dt, vdd, pair.after(wire), sim.switch_at()),
+                    settled_value(wave, 0.1) > vdd / 2.0,
+                )
+            };
+            let mut pairs = Vec::new();
+            for victim in 0..w {
+                for fault in IntegrityFault::ALL {
+                    pairs.push(fault_pair(w, victim, fault).map_err(|e| e.to_string())?);
+                }
+            }
+            for levels in random.chunks_exact(2 * w) {
+                let level = |b: &bool| DriveLevel::from(*b);
+                let before = levels[..w].iter().map(level).collect();
+                let after = levels[w..].iter().map(level).collect();
+                pairs.push(VectorPair::new(before, after));
+            }
+            let samples = basis.samples();
+            let mut out = vec![0.0; w * samples];
+            for pair in &pairs {
+                basis.superpose_into(pair, &mut out).map_err(|e| e.to_string())?;
+                let direct = sim.run_pair(pair, duration).map_err(|e| e.to_string())?;
+                check_eq(direct.samples(), samples)?;
+                for (wire, wave) in out.chunks_exact(samples).enumerate() {
+                    for (k, (a, b)) in direct.wire(wire).iter().zip(wave).enumerate() {
+                        check((a - b).abs() <= 1e-12, || {
+                            format!("{pair} wire {wire} step {k}: direct {a} vs basis {b}")
+                        })?;
+                    }
+                    check_eq(bits(direct.wire(wire), pair, wire), bits(wave, pair, wire))?;
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
 fn panel_transients_bitwise_match_looped_scalar_runs() {
     // The multi-RHS panel path hoists every factor load across its k
     // columns but performs each column's FLOPs in the scalar order, so
@@ -991,6 +1082,67 @@ fn apply_mutation(text: &str, mutation: Mutation) -> String {
     // Loaders read snapshots as text: a corrupted byte that breaks UTF-8
     // reaches the parser as a replacement character.
     String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A random JSON tree up to `depth` levels deep: every scalar kind,
+/// escape-heavy strings, and objects whose keys are distinct.
+fn arb_json(rng: &mut Rng64, depth: usize) -> Json {
+    const PIECES: [&str; 6] = ["a", "key", "\"q\"", "tab\t", "\u{e9}", "\u{1F600}"];
+    let text = |rng: &mut Rng64| -> String {
+        (0..gen::usize_in(rng, 0..4)).map(|_| gen::one_of(rng, &PIECES)).collect()
+    };
+    match gen::usize_in(rng, 0..if depth == 0 { 6 } else { 8 }) {
+        0 => Json::Null,
+        1 => Json::Bool(gen::bool_any(rng)),
+        2 => Json::Int(-(gen::usize_in(rng, 1..1 << 40) as i64)),
+        3 => Json::UInt(rng.gen_u64()),
+        4 => Json::Num(gen::f64_in(rng, -1e9..1e9)),
+        5 => Json::Str(text(rng)),
+        6 => Json::Array((0..gen::usize_in(rng, 0..4)).map(|_| arb_json(rng, depth - 1)).collect()),
+        _ => {
+            let mut pairs: Vec<(String, Json)> = Vec::new();
+            for i in 0..gen::usize_in(rng, 0..4) {
+                pairs.push((format!("{}{i}", text(rng)), arb_json(rng, depth - 1)));
+            }
+            Json::Object(pairs)
+        }
+    }
+}
+
+#[test]
+fn json_parse_refuses_corruption_with_typed_errors() {
+    // Every loader reads its bytes through `Json::parse`. Whatever the
+    // corruption, the parser must answer with a value or a typed
+    // `JsonParseError`, never a panic: a strict prefix of a document
+    // and a key repeated within one object are always refused, and a
+    // flipped or inserted byte the parser accepts must have produced a
+    // genuine document (its rendering parses back to the same text).
+    Runner::new("json_parse_mutations").cases(400).run(
+        |rng| {
+            let mut doc = vec![("root".to_string(), arb_json(rng, 3))];
+            for i in 0..gen::usize_in(rng, 0..4) {
+                doc.push((format!("k{i}"), arb_json(rng, 3)));
+            }
+            let text = Json::Object(doc).render();
+            let mutation = arb_mutation(rng, text.len());
+            (text, mutation)
+        },
+        |(text, mutation)| {
+            check_eq(Json::parse(text).map(|v| v.render()).as_deref(), Ok(text.as_str()))?;
+            let corrupted = apply_mutation(text, *mutation);
+            let result = parse_caught(Json::parse, &corrupted)?;
+            match (mutation, result) {
+                (Mutation::Truncate { .. } | Mutation::DuplicateKey { .. }, Ok(value)) => {
+                    Err(format!("accepted {mutation:?}: {}", value.render()))
+                }
+                (_, Ok(value)) => {
+                    let rendered = value.render();
+                    check_eq(Json::parse(&rendered).map(|v| v.render()), Ok(rendered))
+                }
+                (_, Err(e)) => check(e.offset <= corrupted.len(), || format!("offset past input: {e}")),
+            }
+        },
+    );
 }
 
 fn arb_entry(rng: &mut Rng64, index: usize) -> CheckpointEntry {
