@@ -31,13 +31,23 @@
 //!   thread got to a key first, so they are deliberately not exposed:
 //!   nothing schedule-dependent may reach summaries, records or
 //!   checkpoints.
+//! * **One basis per table.** A miss is solved by superposition from
+//!   the bus's [`ResponseBasis`], which costs as much as a few dozen
+//!   patterns to compute. SoCs on one table share it through
+//!   [`DetectorMemo::basis_cell`]: the first to miss computes it while
+//!   holding the cell, and any SoC that misses while one holding it is
+//!   alive reuses it instead of computing its own. Otherwise how many
+//!   bases a batch computes would turn on how its trials overlap in
+//!   time. The cell keeps only a weak reference, so a basis lives no
+//!   longer than the SoCs using it.
 
 use crate::nd::NdThresholds;
 use crate::sd::SdWindow;
 use sint_interconnect::drive::{DriveLevel, VectorPair};
+use sint_interconnect::basis::ResponseBasis;
 use sint_interconnect::params::Bus;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// The memo's fixed size cap, in bytes of map entries, packed keys,
 /// verdict bits and per-slot bus copies. Once spent, the memo serves
@@ -171,9 +181,15 @@ struct MemoInner {
     /// Configuration fingerprint → slot.
     by_fingerprint: HashMap<u64, u32>,
     tables: HashMap<TableId, HashMap<PairKey, DetectorBits>>,
+    /// Table → the basis its SoCs share, while any of them holds it.
+    bases: HashMap<TableId, BasisCell>,
     bytes: usize,
     entries: usize,
 }
+
+/// A table's shared [`ResponseBasis`]: lock it to compute or take the
+/// basis, so SoCs that miss together compute it once.
+pub(crate) type BasisCell = Arc<Mutex<Weak<ResponseBasis>>>;
 
 #[derive(Debug)]
 struct SlotOwner {
@@ -253,6 +269,12 @@ impl DetectorMemo {
             return vec![None; keys.len()];
         };
         keys.iter().map(|key| table.get(key).cloned()).collect()
+    }
+
+    /// The cell through which SoCs on `table` share their response
+    /// basis (see the [module documentation](self)).
+    pub(crate) fn basis_cell(&self, table: TableId) -> BasisCell {
+        Arc::clone(self.lock().bases.entry(table).or_default())
     }
 
     /// Stores freshly solved bits. Keys already present and anything
